@@ -11,7 +11,7 @@ BENCH_PKGS ?= . ./internal/sim ./internal/store
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench bench-save bench-diff sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f nightly vet fmt-check fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f nightly vet fmt-check fault-smoke lint cover verify clean
 
 all: build
 
@@ -21,8 +21,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The race pass: every test once under the race detector, except the
+# chaos and crash tests, which store-chaos and store-chaos-2f run under it
+# with their seed handling. -count=1 keeps Go's test-result cache (which
+# CI restores) from skipping the run.
+RACE_OWNED = TestChaosAcknowledged|TestCrash|TestChaos2F
+
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 -skip '$(RACE_OWNED)' ./...
 
 # One iteration of every benchmark — exercises each paper figure/table
 # driver and the instrumentation overhead pair without the full timing run.
@@ -41,29 +47,6 @@ bench-save:
 # 0.5 on noisy shared runners) — benchdiff reads it as its default.
 bench-diff:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -diff
-
-# Race pass over the parallel sweep driver and the commands that expose -j.
-sweep-race:
-	$(GO) test -race ./internal/experiments/... ./cmd/...
-
-# Race pass over the observability stack: the live telemetry server's
-# concurrent scrape bridge, the span tracer and exporters, and the
-# tracestat / raidsim -listen command paths.
-telemetry-race:
-	$(GO) test -race ./internal/telemetry/... ./cmd/tracestat/... ./cmd/raidsim/...
-
-# Race pass over the real-data storage engine: concurrent clients driven
-# through live failure, degraded service, and rebuild (internal/store), plus
-# the cmd/store lifecycle driver.
-store-race:
-	$(GO) test -race ./internal/store/... ./cmd/store/...
-
-# Focused race pass over the parallel I/O fast path: serial-vs-parallel
-# byte equivalence through a full fail/rebuild lifecycle, intent-log group
-# commit (coalescing, failure delivery), fan-out ordering/first-error-wins,
-# and concurrent range writers against a sharded rebuild with IOWorkers>1.
-store-par-race:
-	$(GO) test -race -run 'TestParallel|TestIntent|TestFanOut|TestWorkerConfig|TestConcurrentRange' -count=1 ./internal/store/
 
 # The chaos invariant under the race detector: 12 workers against
 # fault-injecting backends (transients, latent sector errors, torn writes,
@@ -104,12 +87,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Focused race pass over the fault-injection stack (injector, array error
-# paths, scrubbing, checkpoint/restart), then a short end-to-end lifecycle
-# run with media faults enabled: random disk failures, latent sector
-# errors, transient timeouts, scrubbing, and true double failures.
+# A short end-to-end lifecycle run with media faults enabled: random disk
+# failures, latent sector errors, transient timeouts, scrubbing, and true
+# double failures. (The fault-injection stack's tests run in race.)
 fault-smoke:
-	$(GO) test -race ./internal/fault/... ./internal/array/...
 	$(GO) run ./examples/continuous
 
 # Pinned static analysis: staticcheck (bug-prone constructs, dead code,
@@ -130,11 +111,11 @@ cover:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $$floor% floor"; exit 1; }
 
-# The full pre-merge gate: formatting, static checks, build, the race-able
-# test suite, the fault-injection, parallel-sweep, telemetry and storage-
-# engine race smokes, the storage chaos invariants (single- and
-# double-failure), and a benchmark smoke pass.
-verify: fmt-check vet build race fault-smoke sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f bench-smoke
+# The full pre-merge gate: formatting, static checks, build, one race pass
+# over every test (the chaos and crash tests in their own targets), the
+# fault-injection lifecycle smoke, the storage chaos invariants (single-
+# and double-failure), and a benchmark smoke pass.
+verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f bench-smoke
 	@echo "verify: OK"
 
 clean:

@@ -20,7 +20,6 @@ import (
 
 	"declust/internal/disk"
 	"declust/internal/fault"
-	"declust/internal/gf256"
 	"declust/internal/layout"
 	"declust/internal/metrics"
 	"declust/internal/sim"
@@ -324,7 +323,7 @@ func (a *Array) initContents() {
 		g := a.lay.G()
 		n := int64(0)
 		for s := int64(0); s < a.numStripes; s++ {
-			var x, q uint64
+			var par [maxParities]uint64
 			d := 0
 			for j := 0; j < g; j++ {
 				if layout.IsParityPos(a.lay, s, j) {
@@ -334,14 +333,14 @@ func (a *Array) initContents() {
 				v := splitmix64(uint64(n) + 1)
 				a.expected[n] = v
 				a.contents[u.Disk][u.Offset] = v
-				x ^= v
-				if a.parities == 2 {
-					q ^= gf256.MulWord(gf256.Exp(d), v)
+				par[0] ^= v
+				for k := 1; k < a.parities; k++ {
+					par[k] ^= termOf(k, d, v)
 				}
 				d++
 				n++
 			}
-			a.setParityVals(s, x, q)
+			a.setParityVals(s, par)
 		}
 		return
 	}
@@ -352,7 +351,7 @@ func (a *Array) initContents() {
 		a.expected[n] = v
 	}
 	for s := int64(0); s < a.numStripes; s++ {
-		var x, q uint64
+		var par [maxParities]uint64
 		d := 0
 		for j := 0; j < a.lay.G(); j++ {
 			if layout.IsParityPos(a.lay, s, j) {
@@ -360,24 +359,21 @@ func (a *Array) initContents() {
 			}
 			u := a.lay.Unit(s, j)
 			v := a.contents[u.Disk][u.Offset]
-			x ^= v
-			if a.parities == 2 {
-				q ^= gf256.MulWord(gf256.Exp(d), v)
+			par[0] ^= v
+			for k := 1; k < a.parities; k++ {
+				par[k] ^= termOf(k, d, v)
 			}
 			d++
 		}
-		a.setParityVals(s, x, q)
+		a.setParityVals(s, par)
 	}
 }
 
-// setParityVals stores a stripe's parity words: P always, Q under dual
-// parity.
-func (a *Array) setParityVals(s int64, p, q uint64) {
-	pl := layout.ParityLocOf(a.lay, s, 0)
-	a.contents[pl.Disk][pl.Offset] = p
-	if a.parities == 2 {
-		ql := layout.ParityLocOf(a.lay, s, 1)
-		a.contents[ql.Disk][ql.Offset] = q
+// setParityVals stores a stripe's parity words.
+func (a *Array) setParityVals(s int64, par [maxParities]uint64) {
+	for k := 0; k < a.parities; k++ {
+		pl := layout.ParityLocOf(a.lay, s, k)
+		a.contents[pl.Disk][pl.Offset] = par[k]
 	}
 }
 

@@ -390,3 +390,32 @@ func TestReadValueDuringDegradedMatchesLatestWrite(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// TestCheckConsistencyDetectsCorruption flips each unit of one stripe in
+// turn — data, P and, under P+Q, Q — and requires CheckConsistency to
+// report every one, under both codes.
+func TestCheckConsistencyDetectsCorruption(t *testing.T) {
+	for name, build := range map[string]func(*testing.T, func(*Config)) (*sim.Engine, *Array){
+		"P": testArray, "PQ": pqTestArray,
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, a := build(t, nil)
+			if err := a.CheckConsistency(); err != nil {
+				t.Fatalf("fresh array: %v", err)
+			}
+			const stripe = 3
+			for j := 0; j < a.lay.G(); j++ {
+				u := a.lay.Unit(stripe, j)
+				v := a.unitVal(u)
+				a.setUnitVal(u, v^1)
+				if err := a.CheckConsistency(); err == nil {
+					t.Errorf("corrupt unit at position %d (%v) not reported", j, u)
+				}
+				a.setUnitVal(u, v)
+			}
+			if err := a.CheckConsistency(); err != nil {
+				t.Fatalf("restored array: %v", err)
+			}
+		})
+	}
+}

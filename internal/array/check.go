@@ -3,7 +3,6 @@ package array
 import (
 	"fmt"
 
-	"declust/internal/gf256"
 	"declust/internal/layout"
 )
 
@@ -11,86 +10,51 @@ import (
 // to be called at quiesce (no user operations or reconstruction in flight):
 //
 //   - every readable data unit holds the last value written to it;
-//   - for stripes with no lost unit, parity equals the XOR of the data;
-//   - for stripes whose data unit is lost, the lost value is recoverable:
-//     XOR of parity and surviving data equals the last value written.
+//   - every readable parity unit holds its sum over those last values (the
+//     XOR for P, the Reed–Solomon sum for Q), so every parity equation
+//     balances and the stripe's lost units — no more than the code
+//     corrects — remain decodable to the last values written.
 //
 // Together these prove the driver's degraded paths (parity folding,
-// redirection, piggybacking) never corrupt or strand data.
+// redirection, piggybacking) never corrupt or strand data; losses beyond
+// the code are restored out of band (recordLoss), so they hold then too.
 func (a *Array) CheckConsistency() error {
 	if a.locks.heldCount() != 0 {
 		return fmt.Errorf("array: %d stripe locks held; not quiesced", a.locks.heldCount())
 	}
-	if a.parities == 2 {
-		return a.checkConsistencyPQ()
-	}
 	g := a.lay.G()
 	for s := int64(0); s < a.numStripes; s++ {
-		pp := a.lay.ParityPos(s)
-		var xor uint64
-		lost := -1 // position of an unreadable unit, if any
+		var ppos [maxParities]int
+		for k := 0; k < a.parities; k++ {
+			ppos[k] = layout.ParityPosOf(a.lay, s, k)
+		}
+		// par sums each parity over the last values written; got holds
+		// the parity units' contents where read.
+		var par, got [maxParities]uint64
+		var read [maxParities]bool
+		lost, d := 0, 0
 		for j := 0; j < g; j++ {
 			u := a.lay.Unit(s, j)
-			if !a.available(u) {
-				if lost != -1 {
-					return fmt.Errorf("stripe %d: two lost units; layout broken", s)
-				}
-				lost = j
-				continue
-			}
-			xor ^= a.unitVal(u)
-			if j != pp {
-				idx := a.mapper.Index(s, j)
-				if got, want := a.unitVal(u), a.expected[idx]; got != want {
-					return fmt.Errorf("stripe %d: data unit %d at %v holds %#x, want %#x",
-						s, idx, u, got, want)
+			k := -1
+			for p := 0; p < a.parities; p++ {
+				if j == ppos[p] {
+					k = p
 				}
 			}
-		}
-		switch {
-		case lost == -1:
-			// All units readable: the parity equation must balance,
-			// i.e. XOR over data and parity is zero.
-			if xor != 0 {
-				return fmt.Errorf("stripe %d: parity inconsistent (residue %#x)", s, xor)
-			}
-		case lost == pp:
-			// Lost parity: nothing further to check; data was
-			// verified against expected above.
-		default:
-			// Lost data: it must be recoverable from the survivors.
-			idx := a.mapper.Index(s, lost)
-			if xor != a.expected[idx] {
-				return fmt.Errorf("stripe %d: lost data unit %d reconstructs to %#x, want %#x",
-					s, idx, xor, a.expected[idx])
-			}
-		}
-	}
-	return nil
-}
-
-// checkConsistencyPQ verifies the dual-parity invariants at quiesce. With
-// losses restored out of band (recordLoss keeps the model consistent), the
-// invariant is stronger than the single-parity one: every readable unit —
-// data, P, and Q — must hold exactly the value derivable from the last
-// logical writes, so both parity equations balance and any two lost units
-// per stripe remain decodable.
-func (a *Array) checkConsistencyPQ() error {
-	g := a.lay.G()
-	pq := [2]string{"P", "Q"}
-	for s := int64(0); s < a.numStripes; s++ {
-		var p, q uint64
-		lost := 0
-		d := 0
-		for j := 0; j < g; j++ {
-			if layout.IsParityPos(a.lay, s, j) {
+			if k >= 0 {
+				if read[k] = a.available(u); read[k] {
+					got[k] = a.unitVal(u)
+				} else {
+					lost++
+				}
 				continue
 			}
-			u := a.lay.Unit(s, j)
 			idx := a.mapper.Index(s, j)
 			want := a.expected[idx]
-			p ^= want
-			q ^= gf256.MulWord(gf256.Exp(d), want)
+			par[0] ^= want
+			for k := 1; k < a.parities; k++ {
+				par[k] ^= termOf(k, d, want)
+			}
 			d++
 			if !a.available(u) {
 				lost++
@@ -101,19 +65,14 @@ func (a *Array) checkConsistencyPQ() error {
 					s, idx, u, got, want)
 			}
 		}
-		for k, want := range [2]uint64{p, q} {
-			u := layout.ParityLocOf(a.lay, s, k)
-			if !a.available(u) {
-				lost++
-				continue
-			}
-			if got := a.unitVal(u); got != want {
-				return fmt.Errorf("stripe %d: %s parity at %v holds %#x, want %#x",
-					s, pq[k], u, got, want)
-			}
-		}
 		if lost > a.parities {
 			return fmt.Errorf("stripe %d: %d lost units; layout broken", s, lost)
+		}
+		for k := 0; k < a.parities; k++ {
+			if read[k] && got[k] != par[k] {
+				return fmt.Errorf("stripe %d: %c parity at %v holds %#x, want %#x",
+					s, "PQ"[k], layout.ParityLocOf(a.lay, s, k), got[k], par[k])
+			}
 		}
 	}
 	return nil

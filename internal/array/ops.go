@@ -230,41 +230,61 @@ func (a *Array) xorUnits(locs []layout.Loc) uint64 {
 	return v
 }
 
-// qSum computes the Reed–Solomon sum Σ g^d·value_d of a set of data units,
-// d being each unit's data ordinal within its stripe.
-func (a *Array) qSum(stripe int64, locs []layout.Loc) uint64 {
-	var q uint64
-	for _, u := range locs {
-		_, j := a.lay.Locate(u)
-		d := layout.DataOrdinal(a.lay, stripe, j)
-		q ^= gf256.MulWord(gf256.Exp(d), a.unitVal(u))
+// maxParities bounds a stripe's parity units: New accepts layouts with 1
+// (P) or 2 (P+Q).
+const maxParities = 2
+
+// termOf is parity k's term for a data unit of data ordinal d holding v:
+// parity k carries coefficient g^(k·d), so P's term is v itself and Q's
+// is g^d·v.
+func termOf(k, d int, v uint64) uint64 {
+	if k == 0 {
+		return v
 	}
-	return q
+	return gf256.MulWord(gf256.Exp(k*d), v)
 }
 
-// qTerm is one data unit's contribution to its stripe's Q word.
-func (a *Array) qTerm(stripe int64, loc layout.Loc, v uint64) uint64 {
+// ordinal returns data unit loc's data ordinal within stripe.
+func (a *Array) ordinal(stripe int64, loc layout.Loc) int {
 	_, j := a.lay.Locate(loc)
-	return gf256.MulWord(gf256.Exp(layout.DataOrdinal(a.lay, stripe, j)), v)
+	return layout.DataOrdinal(a.lay, stripe, j)
+}
+
+// foldTerms XORs the terms of data unit loc of stripe, holding v, into
+// every parity word of par. Only parities past P need the unit's ordinal.
+func (a *Array) foldTerms(par *[maxParities]uint64, stripe int64, loc layout.Loc, v uint64) {
+	par[0] ^= v
+	for k := 1; k < a.parities; k++ {
+		par[k] ^= termOf(k, a.ordinal(stripe, loc), v)
+	}
+}
+
+// parityIndex returns which parity unit position j of stripe holds, or −1
+// for a data unit.
+func (a *Array) parityIndex(stripe int64, j int) int {
+	for k := 0; k < a.parities; k++ {
+		if j == layout.ParityPosOf(a.lay, stripe, k) {
+			return k
+		}
+	}
+	return -1
 }
 
 // reconSources returns the units to read to reconstruct loc's contents.
-// Single parity reads every other unit of the stripe; dual parity decodes
-// a single erasure through one equation, so it skips the unneeded parity —
-// Q for a lost data or P unit, P for a lost Q unit — reading G−2 units.
+// A lost data unit decodes through P — the XOR of the stripe's other data
+// units and P — and a lost parity unit is recomputed from the data units,
+// so a stripe's other parities are never read: single parity reads every
+// other unit of the stripe, dual parity G−2 of them.
 func (a *Array) reconSources(loc layout.Loc) []layout.Loc {
-	if a.parities == 1 {
-		return layout.SurvivingUnits(a.lay, loc)
-	}
 	stripe, jLost := a.lay.Locate(loc)
-	skip := layout.ParityPosOf(a.lay, stripe, 1)
-	if jLost == skip {
-		skip = layout.ParityPosOf(a.lay, stripe, 0)
-	}
+	lostParity := a.parityIndex(stripe, jLost) >= 0
 	g := a.lay.G()
-	out := make([]layout.Loc, 0, g-2)
+	out := make([]layout.Loc, 0, g-1)
 	for j := 0; j < g; j++ {
-		if j == jLost || j == skip {
+		if j == jLost {
+			continue
+		}
+		if k := a.parityIndex(stripe, j); k > 0 || (k == 0 && lostParity) {
 			continue
 		}
 		out = append(out, a.lay.Unit(stripe, j))
@@ -273,15 +293,16 @@ func (a *Array) reconSources(loc layout.Loc) []layout.Loc {
 }
 
 // reconValue computes loc's contents from its reconSources: the XOR of
-// the sources (which for a data or P unit includes whatever balances the
-// P equation), or — for a lost Q unit — the Reed–Solomon sum of the
-// stripe's data units.
+// the sources for a data or P unit (P's coefficients are all one), or —
+// for another parity unit — its sum over the stripe's data units.
 func (a *Array) reconValue(loc layout.Loc, srcs []layout.Loc) uint64 {
-	if a.parities == 2 {
-		stripe, j := a.lay.Locate(loc)
-		if j == layout.ParityPosOf(a.lay, stripe, 1) {
-			return a.qSum(stripe, srcs)
+	stripe, j := a.lay.Locate(loc)
+	if k := a.parityIndex(stripe, j); k > 0 {
+		var par [maxParities]uint64
+		for _, u := range srcs {
+			a.foldTerms(&par, stripe, u, a.unitVal(u))
 		}
+		return par[k]
 	}
 	return a.xorUnits(srcs)
 }
@@ -313,22 +334,23 @@ type userOp struct {
 	unit      int64
 	loc       layout.Loc
 	stripe    int64
-	ploc      layout.Loc
-	qloc      layout.Loc // Q parity unit (dual parity only)
 	other     layout.Loc // small-write companion data unit
 	value     uint64
 	otherData uint64 // small-write companion's data
 	oldData   uint64 // read-modify-write pre-read
-	oldParity uint64
-	newParity uint64
-	oldQ      uint64 // dual-parity read-modify-write pre-read
-	newQ      uint64
-	dOrd      int // the written unit's data ordinal (Q coefficient index)
+	// The parity units a write maintains, P first: every available one of
+	// the stripe's parities, with index pk[r] and location ploc[r] for
+	// r < np, and their read-modify-write pre-reads and new contents.
+	np        int
+	pk        [maxParities]int
+	ploc      [maxParities]layout.Loc
+	oldPar    [maxParities]uint64
+	newPar    [maxParities]uint64
 	readDone  func(value uint64)
 	writeDone func()
-	span      *telemetry.Span // root span handed over by the caller; nil when off
-	phase     *telemetry.Span // open lifecycle-phase child, ended by the stage that retires it
-	xs        [3]xfer         // phase transfer buffer; consumed synchronously by io
+	span      *telemetry.Span       // root span handed over by the caller; nil when off
+	phase     *telemetry.Span       // open lifecycle-phase child, ended by the stage that retires it
+	xs        [1 + maxParities]xfer // phase transfer buffer; consumed synchronously by io
 
 	// Stage continuations, bound once per node.
 	readPlainFn   func([]xfer)
@@ -340,9 +362,6 @@ type userOp struct {
 	rmwPreFn      func([]xfer)
 	rmwRepairedFn func()
 	rmwCommitFn   func([]xfer)
-	pqPreFn       func([]xfer)
-	pqRepairedFn  func()
-	pqCommitFn    func([]xfer)
 	lostParityFn  func([]xfer)
 	finishFn      func()
 }
@@ -363,9 +382,6 @@ func (a *Array) getOp() *userOp {
 	op.rmwPreFn = op.rmwPre
 	op.rmwRepairedFn = op.rmwRepaired
 	op.rmwCommitFn = op.rmwCommit
-	op.pqPreFn = op.pqPre
-	op.pqRepairedFn = op.pqRepaired
-	op.pqCommitFn = op.pqCommit
 	op.lostParityFn = op.lostParity
 	op.finishFn = op.finish
 	return op
@@ -521,22 +537,32 @@ func (op *userOp) finish() {
 }
 
 // writeLocked chooses the write path with the stripe lock held, so the
-// failure state it sees cannot change under it.
+// failure state it sees cannot change under it. Under the one-failed-disk
+// model at most one unit of the stripe is unavailable (layout criterion
+// 1), so the cases are: everything available, the data unit lost (fold
+// into the parities), or a parity lost (maintain the survivors).
 func (op *userOp) writeLocked() {
 	a := op.a
 	op.phase.End(a.eng.Now()) // lock wait is over
 	op.phase = nil
-	op.ploc = layout.ParityLoc(a.lay, op.stripe)
-	if a.parities == 2 {
-		op.writeLockedPQ()
-		return
+	op.np = 0
+	for k := 0; k < a.parities; k++ {
+		if u := layout.ParityLocOf(a.lay, op.stripe, k); a.available(u) {
+			op.pk[op.np], op.ploc[op.np] = k, u
+			op.np++
+		}
 	}
 	switch {
-	case a.available(op.loc) && a.available(op.ploc):
-		op.writeNormal()
 	case !a.available(op.loc):
 		op.phase = op.span.Child(telemetry.PhaseFold, a.eng.Now())
-		a.writeLostData(op.unit, op.loc, op.stripe, op.ploc, op.value, op.phase, op.finishFn)
+		a.writeLostData(op.unit, op.loc, op.stripe, op.value, op.phase, op.finishFn)
+	case op.np == a.parities:
+		op.writeNormal()
+	case op.np > 0:
+		// One of P and Q lost: delta-update the survivor alongside the
+		// data write; the lost parity is recomputed when the sweep
+		// reaches it.
+		op.rmw()
 	default:
 		// Parity is lost and not reconstructed: there is no value in
 		// updating it, so the write is a single data access (§7); the
@@ -555,105 +581,10 @@ func (op *userOp) lostParity(_ []xfer) {
 	op.finish()
 }
 
-// writeLockedPQ chooses the dual-parity write path. Under the one-failed-
-// disk model at most one unit of the stripe is unavailable (layout
-// criterion 1), so the cases are: everything available (the six-access
-// read-modify-write), the data unit lost (fold into both parities), or
-// one parity lost (write data, delta-update the surviving parity).
-func (op *userOp) writeLockedPQ() {
-	a := op.a
-	op.qloc = layout.ParityLocOf(a.lay, op.stripe, 1)
-	_, j := a.lay.Locate(op.loc)
-	op.dOrd = layout.DataOrdinal(a.lay, op.stripe, j)
-	switch {
-	case !a.available(op.loc):
-		op.phase = op.span.Child(telemetry.PhaseFold, a.eng.Now())
-		a.writeLostData(op.unit, op.loc, op.stripe, op.ploc, op.value, op.phase, op.finishFn)
-	case a.available(op.ploc) && a.available(op.qloc):
-		// Six-access read-modify-write: pre-read old data, P and Q, then
-		// overwrite all three — the dual-parity small-write cost the
-		// sweeps measure against α.
-		op.phase = op.span.Child(telemetry.PhasePreread, a.eng.Now())
-		op.oldData = a.unitVal(op.loc)
-		op.oldParity = a.unitVal(op.ploc)
-		op.oldQ = a.unitVal(op.qloc)
-		op.xs[0] = xfer{loc: op.loc}
-		op.xs[1] = xfer{loc: op.ploc}
-		op.xs[2] = xfer{loc: op.qloc}
-		a.phaseSpan = op.phase
-		a.io(op.xs[:3], userPriority, op.pqPreFn)
-	default:
-		// One parity lost: delta-update the survivor alongside the data
-		// write; the lost parity is recomputed when the sweep reaches it.
-		op.writeLostOneParityPQ()
-	}
-}
-
-func (op *userOp) pqPre(fails []xfer) {
-	op.a.repairThen(op.stripe, fails, userPriority, op.pqRepairedFn)
-}
-
-func (op *userOp) pqRepaired() {
-	a := op.a
-	op.phase.End(a.eng.Now())
-	op.phase = op.span.Child(telemetry.PhaseCommit, a.eng.Now())
-	delta := op.oldData ^ op.value
-	op.newParity = op.oldParity ^ delta
-	op.newQ = op.oldQ ^ gf256.MulWord(gf256.Exp(op.dOrd), delta)
-	op.xs[0] = xfer{loc: op.loc, write: true}
-	op.xs[1] = xfer{loc: op.ploc, write: true}
-	op.xs[2] = xfer{loc: op.qloc, write: true}
-	a.phaseSpan = op.phase
-	a.io(op.xs[:3], userPriority, op.pqCommitFn)
-}
-
-func (op *userOp) pqCommit(_ []xfer) {
-	a := op.a
-	a.setUnitVal(op.loc, op.value)
-	a.setUnitVal(op.ploc, op.newParity)
-	a.setUnitVal(op.qloc, op.newQ)
-	a.expected[op.unit] = op.value
-	op.finish()
-}
-
-// writeLostOneParityPQ writes a data unit whose stripe has exactly one
-// parity unit lost: a four-access read-modify-write against the surviving
-// parity (rare path; ad-hoc closures are fine here).
-func (op *userOp) writeLostOneParityPQ() {
-	a := op.a
-	surv := op.qloc
-	pSurvives := a.available(op.ploc)
-	if pSurvives {
-		surv = op.ploc
-	}
-	op.phase = op.span.Child(telemetry.PhasePreread, a.eng.Now())
-	oldData := a.unitVal(op.loc)
-	oldSurv := a.unitVal(surv)
-	a.phaseSpan = op.phase
-	a.io([]xfer{{loc: op.loc}, {loc: surv}}, userPriority, func(fails []xfer) {
-		a.repairThen(op.stripe, fails, userPriority, func() {
-			op.phase.End(a.eng.Now())
-			op.phase = op.span.Child(telemetry.PhaseCommit, a.eng.Now())
-			delta := oldData ^ op.value
-			newSurv := oldSurv ^ delta
-			if !pSurvives {
-				newSurv = oldSurv ^ gf256.MulWord(gf256.Exp(op.dOrd), delta)
-			}
-			a.phaseSpan = op.phase
-			a.io([]xfer{{loc: op.loc, write: true}, {loc: surv, write: true}}, userPriority, func(_ []xfer) {
-				a.setUnitVal(op.loc, op.value)
-				a.setUnitVal(surv, newSurv)
-				a.expected[op.unit] = op.value
-				op.finish()
-			})
-		})
-	})
-}
-
 // writeNormal is the fault-free path, also used when the touched units are
-// already reconstructed on the replacement: the four-access
-// read-modify-write, or the three-access small-write when the stripe has
-// exactly three units and the third is readable.
+// already reconstructed on the replacement: the read-modify-write, or the
+// three-access small-write when the stripe has exactly three units and
+// the third is a readable data unit.
 func (op *userOp) writeNormal() {
 	a := op.a
 	if a.lay.G() == 2 {
@@ -663,7 +594,7 @@ func (op *userOp) writeNormal() {
 		// (Copeland & Keller's interleaved declustering, §3).
 		op.phase = op.span.Child(telemetry.PhaseMirror, a.eng.Now())
 		op.xs[0] = xfer{loc: op.loc, write: true}
-		op.xs[1] = xfer{loc: op.ploc, write: true}
+		op.xs[1] = xfer{loc: op.ploc[0], write: true}
 		a.phaseSpan = op.phase
 		a.io(op.xs[:2], userPriority, op.mirrorDoneFn)
 		return
@@ -689,20 +620,13 @@ func (op *userOp) writeNormal() {
 			return
 		}
 	}
-	// Pre-read old data and parity, then overwrite both.
-	op.phase = op.span.Child(telemetry.PhasePreread, a.eng.Now())
-	op.oldData = a.unitVal(op.loc)
-	op.oldParity = a.unitVal(op.ploc)
-	op.xs[0] = xfer{loc: op.loc}
-	op.xs[1] = xfer{loc: op.ploc}
-	a.phaseSpan = op.phase
-	a.io(op.xs[:2], userPriority, op.rmwPreFn)
+	op.rmw()
 }
 
 func (op *userOp) mirrorDone(_ []xfer) {
 	a := op.a
 	a.setUnitVal(op.loc, op.value)
-	a.setUnitVal(op.ploc, op.value)
+	a.setUnitVal(op.ploc[0], op.value)
 	a.expected[op.unit] = op.value
 	op.finish()
 }
@@ -717,15 +641,32 @@ func (op *userOp) swRepaired() {
 	op.phase = op.span.Child(telemetry.PhaseSWCommit, a.eng.Now())
 	a.setUnitVal(op.loc, op.value)
 	a.expected[op.unit] = op.value
-	op.newParity = op.value ^ op.otherData
-	op.xs[0] = xfer{loc: op.ploc, write: true}
+	op.newPar[0] = op.value ^ op.otherData
+	op.xs[0] = xfer{loc: op.ploc[0], write: true}
 	a.phaseSpan = op.phase
 	a.io(op.xs[:1], userPriority, op.swCommitFn)
 }
 
 func (op *userOp) swCommit(_ []xfer) {
-	op.a.setUnitVal(op.ploc, op.newParity)
+	op.a.setUnitVal(op.ploc[0], op.newPar[0])
 	op.finish()
+}
+
+// rmw pre-reads the old data and the op's parity units, then overwrites
+// all of them — transfers data, P, Q in that order: the four-access small
+// write under single parity, six under P+Q, four against the survivor when
+// one of P and Q is lost.
+func (op *userOp) rmw() {
+	a := op.a
+	op.phase = op.span.Child(telemetry.PhasePreread, a.eng.Now())
+	op.oldData = a.unitVal(op.loc)
+	op.xs[0] = xfer{loc: op.loc}
+	for r := 0; r < op.np; r++ {
+		op.oldPar[r] = a.unitVal(op.ploc[r])
+		op.xs[1+r] = xfer{loc: op.ploc[r]}
+	}
+	a.phaseSpan = op.phase
+	a.io(op.xs[:1+op.np], userPriority, op.rmwPreFn)
 }
 
 func (op *userOp) rmwPre(fails []xfer) {
@@ -733,50 +674,62 @@ func (op *userOp) rmwPre(fails []xfer) {
 }
 
 func (op *userOp) rmwRepaired() {
-	op.phase.End(op.a.eng.Now())
-	op.phase = op.span.Child(telemetry.PhaseCommit, op.a.eng.Now())
-	op.newParity = op.oldParity ^ op.oldData ^ op.value
+	a := op.a
+	op.phase.End(a.eng.Now())
+	op.phase = op.span.Child(telemetry.PhaseCommit, a.eng.Now())
+	var delta [maxParities]uint64
+	a.foldTerms(&delta, op.stripe, op.loc, op.oldData^op.value)
 	op.xs[0] = xfer{loc: op.loc, write: true}
-	op.xs[1] = xfer{loc: op.ploc, write: true}
-	op.a.phaseSpan = op.phase
-	op.a.io(op.xs[:2], userPriority, op.rmwCommitFn)
+	for r := 0; r < op.np; r++ {
+		op.newPar[r] = op.oldPar[r] ^ delta[op.pk[r]]
+		op.xs[1+r] = xfer{loc: op.ploc[r], write: true}
+	}
+	a.phaseSpan = op.phase
+	a.io(op.xs[:1+op.np], userPriority, op.rmwCommitFn)
 }
 
 func (op *userOp) rmwCommit(_ []xfer) {
 	a := op.a
 	a.setUnitVal(op.loc, op.value)
-	a.setUnitVal(op.ploc, op.newParity)
+	for r := 0; r < op.np; r++ {
+		a.setUnitVal(op.ploc[r], op.newPar[r])
+	}
 	a.expected[op.unit] = op.value
 	op.finish()
 }
 
 // writeLostData handles a write whose data unit is on the failed slot and
 // not yet reconstructed. Under Baseline (or with no replacement installed)
-// the write folds into the parity unit: parity absorbs the new data so a
+// the write folds into the parity units: each absorbs the new data so a
 // later sweep reconstructs the new value. Under the other algorithms the
 // new data also goes directly to the replacement, which counts as
 // reconstruction.
-func (a *Array) writeLostData(unit int64, loc layout.Loc, stripe int64, ploc layout.Loc, value uint64, sp *telemetry.Span, finish func()) {
+func (a *Array) writeLostData(unit int64, loc layout.Loc, stripe int64, value uint64, sp *telemetry.Span, finish func()) {
 	others := a.dataUnitsOf(stripe, loc) // surviving data units
 	toReplacement := (a.replacement || a.spareLay != nil) && a.cfg.Algorithm != Baseline
-	var qloc layout.Loc
-	if a.parities == 2 {
-		qloc = layout.ParityLocOf(a.lay, stripe, 1)
+	var plocs [maxParities]layout.Loc
+	for k := 0; k < a.parities; k++ {
+		plocs[k] = layout.ParityLocOf(a.lay, stripe, k)
 	}
-	commitParity := func(newParity, newQ uint64) {
+	// fold commits the parities with the new value folded in (and the
+	// value itself to the replacement, when it goes there).
+	fold := func() {
+		var par [maxParities]uint64
+		for _, u := range others {
+			a.foldTerms(&par, stripe, u, a.unitVal(u))
+		}
+		a.foldTerms(&par, stripe, loc, value)
 		a.phaseSpan = sp
-		xs := make([]xfer, 0, 3)
-		xs = append(xs, xfer{loc: ploc, write: true})
-		if a.parities == 2 {
-			xs = append(xs, xfer{loc: qloc, write: true})
+		xs := make([]xfer, 0, a.parities+1)
+		for k := 0; k < a.parities; k++ {
+			xs = append(xs, xfer{loc: plocs[k], write: true})
 		}
 		if toReplacement {
 			xs = append(xs, xfer{loc: loc, write: true})
 		}
 		a.io(xs, userPriority, func(_ []xfer) {
-			a.setUnitVal(ploc, newParity)
-			if a.parities == 2 {
-				a.setUnitVal(qloc, newQ)
+			for k := 0; k < a.parities; k++ {
+				a.setUnitVal(plocs[k], par[k])
 			}
 			if toReplacement {
 				a.setUnitVal(loc, value)
@@ -792,7 +745,7 @@ func (a *Array) writeLostData(unit int64, loc layout.Loc, stripe int64, ploc lay
 		// No surviving data beside the lost unit: G = 2 (mirroring
 		// degenerate, parity is the lost unit's twin) or G = 3 dual parity
 		// (P and Q encode the single data unit directly).
-		commitParity(value, a.qTerm(stripe, loc, value))
+		fold()
 		return
 	}
 	a.phaseSpan = sp
@@ -800,13 +753,6 @@ func (a *Array) writeLostData(unit int64, loc layout.Loc, stripe int64, ploc lay
 		// A failed survivor read: the stripe has two dead units, so the
 		// value being folded into parity rests on a loss; repairThen
 		// records it and restores before the fold continues.
-		a.repairThen(stripe, fails, userPriority, func() {
-			newP := a.xorUnits(others) ^ value
-			var newQ uint64
-			if a.parities == 2 {
-				newQ = a.qSum(stripe, others) ^ a.qTerm(stripe, loc, value)
-			}
-			commitParity(newP, newQ)
-		})
+		a.repairThen(stripe, fails, userPriority, fold)
 	})
 }

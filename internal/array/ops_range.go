@@ -141,23 +141,30 @@ func (a *Array) WriteRange(unit int64, count int, done func()) {
 
 func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
 	g := a.lay.G()
-	ploc := layout.ParityLoc(a.lay, grp.stripe)
-	qloc := ploc // == ploc means "no Q"
-	if a.parities == 2 {
-		qloc = layout.ParityLocOf(a.lay, grp.stripe, 1)
+	var plocs [maxParities]layout.Loc
+	for k := 0; k < a.parities; k++ {
+		plocs[k] = layout.ParityLocOf(a.lay, grp.stripe, k)
 	}
-	hasQ := a.parities == 2
+	// writable reports whether every unit the group writes, parities
+	// included, is available.
+	writable := func() bool {
+		for _, u := range plocs[:a.parities] {
+			if !a.available(u) {
+				return false
+			}
+		}
+		for _, loc := range grp.locs {
+			if !a.available(loc) {
+				return false
+			}
+		}
+		return true
+	}
 
 	// Degraded stripes use the single-unit paths, which handle folding,
 	// redirection and reconstruction marking; the group degenerates to
 	// per-unit writes.
-	writable := a.available(ploc) && (!hasQ || a.available(qloc))
-	for _, loc := range grp.locs {
-		if !a.available(loc) {
-			writable = false
-		}
-	}
-	if !writable {
+	if !writable() {
 		part := join(len(grp.units), done)
 		for _, n := range grp.units {
 			a.SetOpSpan(sp)
@@ -183,13 +190,7 @@ func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
 		// State may have changed while waiting; bail to per-unit writes
 		// if the stripe degraded (writeLocked handles every case, but
 		// we must not hold the lock across its own acquire).
-		stillWritable := a.available(ploc) && (!hasQ || a.available(qloc))
-		for _, loc := range grp.locs {
-			if !a.available(loc) {
-				stillWritable = false
-			}
-		}
-		if !stillWritable {
+		if !writable() {
 			a.locks.release(grp.stripe)
 			part := join(len(grp.units), done)
 			for _, n := range grp.units {
@@ -199,33 +200,23 @@ func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
 			return
 		}
 
-		// qDelta sums the written units' contributions to Q, old vs new.
-		qOfValues := func() uint64 {
-			var q uint64
-			for i, loc := range grp.locs {
-				q ^= a.qTerm(grp.stripe, loc, values[i])
-			}
-			return q
-		}
 		commit := func() []xfer {
-			xs := make([]xfer, 0, k+2)
+			xs := make([]xfer, 0, k+a.parities)
 			for _, loc := range grp.locs {
 				xs = append(xs, xfer{loc: loc, write: true})
 			}
-			xs = append(xs, xfer{loc: ploc, write: true})
-			if hasQ {
-				xs = append(xs, xfer{loc: qloc, write: true})
+			for _, u := range plocs[:a.parities] {
+				xs = append(xs, xfer{loc: u, write: true})
 			}
 			return xs
 		}
-		apply := func(parity, q uint64) {
+		apply := func(par [maxParities]uint64) {
 			for i, loc := range grp.locs {
 				a.setUnitVal(loc, values[i])
 				a.expected[grp.units[i]] = values[i]
 			}
-			a.setUnitVal(ploc, parity)
-			if hasQ {
-				a.setUnitVal(qloc, q)
+			for p, u := range plocs[:a.parities] {
+				a.setUnitVal(u, par[p])
 			}
 		}
 
@@ -252,40 +243,29 @@ func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
 			}
 		}
 
+		var par [maxParities]uint64
 		switch {
 		case k == layout.DataPerStripe(a.lay):
 			// Large write: parity from the new data alone.
-			var parity uint64
-			for _, v := range values {
-				parity ^= v
-			}
-			var q uint64
-			if hasQ {
-				q = qOfValues()
+			for i, loc := range grp.locs {
+				a.foldTerms(&par, grp.stripe, loc, values[i])
 			}
 			phase = sp.Child(telemetry.PhaseCommit, a.eng.Now())
 			a.phaseSpan = phase
 			a.io(commit(), userPriority, func(_ []xfer) {
-				apply(parity, q)
+				apply(par)
 				finish()
 			})
 		case 2*(k+a.parities) <= g || !othersReadable:
 			// Read-modify-write: pre-read old data and parity. Old
 			// contents are sampled at submit time (see writeNormal).
-			parity := a.unitVal(ploc)
-			var q uint64
+			pre := reads(grp.locs)
+			for p, u := range plocs[:a.parities] {
+				par[p] = a.unitVal(u)
+				pre = append(pre, xfer{loc: u})
+			}
 			for i, loc := range grp.locs {
-				parity ^= a.unitVal(loc) ^ values[i]
-				if hasQ {
-					q ^= a.qTerm(grp.stripe, loc, a.unitVal(loc)^values[i])
-				}
-			}
-			if hasQ {
-				q ^= a.unitVal(qloc)
-			}
-			pre := append(reads(grp.locs), xfer{loc: ploc})
-			if hasQ {
-				pre = append(pre, xfer{loc: qloc})
+				a.foldTerms(&par, grp.stripe, loc, a.unitVal(loc)^values[i])
 			}
 			phase = sp.Child(telemetry.PhasePreread, a.eng.Now())
 			a.phaseSpan = phase
@@ -295,20 +275,18 @@ func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
 					phase = sp.Child(telemetry.PhaseCommit, a.eng.Now())
 					a.phaseSpan = phase
 					a.io(commit(), userPriority, func(_ []xfer) {
-						apply(parity, q)
+						apply(par)
 						finish()
 					})
 				})
 			})
 		default:
 			// Reconstruct-write: read the untouched data units.
-			parity := a.xorUnits(others)
-			for _, v := range values {
-				parity ^= v
+			for _, u := range others {
+				a.foldTerms(&par, grp.stripe, u, a.unitVal(u))
 			}
-			var q uint64
-			if hasQ {
-				q = a.qSum(grp.stripe, others) ^ qOfValues()
+			for i, loc := range grp.locs {
+				a.foldTerms(&par, grp.stripe, loc, values[i])
 			}
 			phase = sp.Child(telemetry.PhasePreread, a.eng.Now())
 			a.phaseSpan = phase
@@ -318,7 +296,7 @@ func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
 					phase = sp.Child(telemetry.PhaseCommit, a.eng.Now())
 					a.phaseSpan = phase
 					a.io(commit(), userPriority, func(_ []xfer) {
-						apply(parity, q)
+						apply(par)
 						finish()
 					})
 				})

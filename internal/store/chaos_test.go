@@ -79,7 +79,7 @@ func TestChaosAcknowledgedWritesSurviveFaultsAndRebuild(t *testing.T) {
 		cfg.Seed = seed + int64(disk)
 		return cfg
 	}
-	s, fds := faultStore(t, c, g, 64, 512, mk, Config{
+	s, fds := faultStore(t, testLayout(t, c, g), 64, 512, mk, Config{
 		Retries:      6,
 		RetryBackoff: 100 * time.Microsecond,
 		// Run the chaos mix through the parallel fast path: fanned

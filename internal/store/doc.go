@@ -4,13 +4,15 @@
 //
 // A Store stripes fixed-size units over C disk backends using the same
 // internal/layout mappings as the simulator (block-design declustering or
-// left-symmetric RAID 5), maintains XOR parity on the four-access
-// read-modify-write path, and stays available through a single disk
-// failure: reads of lost units reconstruct on the fly from the G−1
-// survivors, writes to lost units fold into the parity unit, and a
-// background Rebuild sweep regenerates the failed disk's contents onto a
-// replacement stripe by stripe while client goroutines keep issuing
-// requests.
+// left-symmetric RAID 5) and maintains parity with the stripe's erasure
+// code: the paper's XOR parity P, or P+Q dual parity when the layout
+// carries two parity units. Both codes run one code path — the XOR code is
+// the one-parity case of P+Q — so the store stays available through as
+// many disk failures as the code corrects: reads of lost units decode on
+// the fly from the survivors (under P, the XOR of the G−1 others), writes
+// to lost units fold into the parities, and a background Rebuild sweep
+// regenerates a failed disk's contents onto a replacement stripe by
+// stripe while client goroutines keep issuing requests.
 //
 // Concurrency model. Every operation runs under its parity stripe's lock
 // (a striped RWMutex table): reads share, parity updates and rebuild

@@ -10,9 +10,9 @@ import (
 
 // faultStore builds a store whose every backend is a FaultDisk over a mem
 // disk, returning the wrappers for knob access.
-func faultStore(t *testing.T, c, g int, unitsPerDisk int64, unitSize int, mk func(disk int) FaultConfig, cfg Config) (*Store, []*FaultDisk) {
+func faultStore(t *testing.T, lay layout.Layout, unitsPerDisk int64, unitSize int, mk func(disk int) FaultConfig, cfg Config) (*Store, []*FaultDisk) {
 	t.Helper()
-	lay := testLayout(t, c, g)
+	c := lay.Disks()
 	cfg.Layout = lay
 	cfg.UnitsPerDisk = unitsPerDisk
 	cfg.UnitSize = unitSize
@@ -96,7 +96,7 @@ func TestFaultDiskLoseNextWrite(t *testing.T) {
 }
 
 func TestTransientErrorsAreRetried(t *testing.T) {
-	s, fds := faultStore(t, 7, 3, 64, 512,
+	s, fds := faultStore(t, testLayout(t, 7, 3), 64, 512,
 		func(int) FaultConfig { return FaultConfig{Seed: 42, TransientRate: 0.2} },
 		Config{Retries: 6})
 	fillAll(t, s, 1)
@@ -116,7 +116,7 @@ func TestTransientErrorsAreRetried(t *testing.T) {
 }
 
 func TestLatentSectorErrorSelfHeals(t *testing.T) {
-	s, fds := faultStore(t, 7, 3, 64, 512,
+	s, fds := faultStore(t, testLayout(t, 7, 3), 64, 512,
 		func(int) FaultConfig { return FaultConfig{} }, Config{})
 	fillAll(t, s, 3)
 	loc := s.mapper.Loc(5)
@@ -136,7 +136,7 @@ func TestLatentSectorErrorSelfHeals(t *testing.T) {
 }
 
 func TestTransientCorruptionClearsOnReRead(t *testing.T) {
-	s, _ := faultStore(t, 7, 3, 64, 512,
+	s, _ := faultStore(t, testLayout(t, 7, 3), 64, 512,
 		func(int) FaultConfig { return FaultConfig{Seed: 11, CorruptRate: 0.3} },
 		Config{})
 	fillAll(t, s, 9)
@@ -196,7 +196,7 @@ func TestRangeReadHealsDamage(t *testing.T) {
 }
 
 func TestAutoFailThreshold(t *testing.T) {
-	s, fds := faultStore(t, 7, 3, 64, 512,
+	s, fds := faultStore(t, testLayout(t, 7, 3), 64, 512,
 		func(int) FaultConfig { return FaultConfig{} },
 		Config{FailThreshold: 2})
 	fillAll(t, s, 5)

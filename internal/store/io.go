@@ -142,73 +142,78 @@ func (s *Store) writeStamped(d Disk, dn int, off int64, phys []byte) error {
 	return s.writePhysRaw(d, dn, off, phys)
 }
 
-// lostUnitError aborts a gather whose unit set contains a lost unit; the
-// caller formats it into its own unrecoverable-stripe message.
-type lostUnitError struct{ u layout.Loc }
-
-func (e *lostUnitError) Error() string {
-	return fmt.Sprintf("store: unit %v is lost", e.u)
+// gatherItem is one unit a gather reads and how it folds into the
+// accumulators (code.add): a data unit by its data ordinal, parity unit i
+// as ord −1−i.
+type gatherItem struct {
+	loc layout.Loc
+	ord int
 }
 
 // damagedUnit records a unit a gather found damaged (media error or
 // checksum mismatch), in ascending item order.
 type damagedUnit struct {
+	gatherItem
 	idx int
-	loc layout.Loc
 	err error
 }
 
-// xorUnitsInto reads every listed unit and XORs its data into dst (which
-// the caller has prepared — XOR is order-independent, so the result is
-// bit-identical however the reads land). The reads fan out across idle
-// I/O pool helpers. A lost unit or a hard read error aborts the gather;
-// damaged units (needsHeal) are skipped and returned sorted by item index
-// so callers holding the stripe's write lock can heal them serially —
-// healing rewrites units, which must never race the batch's other reads.
-// Caller holds (at least) the stripe's read lock.
-func (s *Store) xorUnitsInto(st *diskState, units []layout.Loc, dst []byte) ([]damagedUnit, error) {
-	if s.ioWorkers == 1 {
-		// Serial store: read in index order on this goroutine, building
-		// no closures — the zero-extra-alloc path degraded reads had
-		// before the pool existed.
-		var damaged []damagedUnit
-		phys := s.getBuf()
-		defer s.putBuf(phys)
-		for i, u := range units {
-			if st.lost(u) {
-				return nil, &lostUnitError{u: u}
-			}
-			if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys); err != nil {
-				if needsHeal(err) {
-					damaged = append(damaged, damagedUnit{idx: i, loc: u, err: err})
-					continue
-				}
-				return nil, err
-			}
-			xorInto(dst, (*phys)[:s.unitSize])
-		}
-		return damaged, nil
+// gather reads every listed unit and folds its contents into acc
+// (code.add; every fold is an XOR of terms, so the result is bit-identical
+// however the reads land). The reads fan out across idle I/O pool
+// helpers. A hard read error aborts the gather; damaged units (needsHeal)
+// are skipped and returned sorted by item index, so callers holding the
+// stripe's write lock can heal them serially — healing rewrites units,
+// which must never race the batch's other reads. No listed unit may be
+// lost. Caller holds (at least) the stripe's read lock.
+func (s *Store) gather(st *diskState, items []gatherItem, acc [maxParities][]byte) ([]damagedUnit, error) {
+	if s.ioWorkers > 1 {
+		return s.gatherParallel(st, items, acc)
 	}
+	return s.gatherSerial(st, items, acc)
+}
+
+// gatherSerial is gather in index order on the calling goroutine, building
+// no closures: the serial store's gather, and the verifying read of a
+// stripe sweep.
+func (s *Store) gatherSerial(st *diskState, items []gatherItem, acc [maxParities][]byte) ([]damagedUnit, error) {
+	var damaged []damagedUnit
+	phys := s.getBuf()
+	defer s.putBuf(phys)
+	for i, it := range items {
+		if err := s.readPhys(st.disk(it.loc), it.loc.Disk, it.loc.Offset, *phys); err != nil {
+			if needsHeal(err) {
+				damaged = append(damaged, damagedUnit{gatherItem: it, idx: i, err: err})
+				continue
+			}
+			return nil, err
+		}
+		s.code.add(&acc, it.ord, (*phys)[:s.unitSize])
+	}
+	return damaged, nil
+}
+
+// gatherParallel is gather fanned out over the I/O pool, each read folded
+// under a mutex. Like commitMany it stays apart so that only a fanned-out
+// gather pays for the heap-allocated variables its closure captures.
+func (s *Store) gatherParallel(st *diskState, items []gatherItem, acc [maxParities][]byte) ([]damagedUnit, error) {
 	var mu sync.Mutex
 	var damaged []damagedUnit
-	err := s.fanOut(len(units), func(i int) error {
-		u := units[i]
-		if st.lost(u) {
-			return &lostUnitError{u: u}
-		}
+	err := s.fanOut(len(items), func(i int) error {
+		it := items[i]
 		phys := s.getBuf()
 		defer s.putBuf(phys)
-		if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys); err != nil {
+		if err := s.readPhys(st.disk(it.loc), it.loc.Disk, it.loc.Offset, *phys); err != nil {
 			if needsHeal(err) {
 				mu.Lock()
-				damaged = append(damaged, damagedUnit{idx: i, loc: u, err: err})
+				damaged = append(damaged, damagedUnit{gatherItem: it, idx: i, err: err})
 				mu.Unlock()
 				return nil
 			}
 			return err
 		}
 		mu.Lock()
-		xorInto(dst, (*phys)[:s.unitSize])
+		s.code.add(&acc, it.ord, (*phys)[:s.unitSize])
 		mu.Unlock()
 		return nil
 	})
@@ -219,37 +224,59 @@ func (s *Store) xorUnitsInto(st *diskState, units []layout.Loc, dst []byte) ([]d
 	return damaged, nil
 }
 
-// xorOthersInto computes the contents of unit u as the XOR of every other
-// unit of its stripe, into out (one logical unit), fanning the survivor
-// reads across idle I/O workers. It requires every other unit readable
-// and valid: a lost or damaged sibling makes the stripe unrecoverable.
-// Caller holds (at least) the stripe's read lock.
-func (s *Store) xorOthersInto(st *diskState, u layout.Loc, out []byte) error {
-	zeroBytes(out)
-	damaged, err := s.xorUnitsInto(st, layout.SurvivingUnits(s.lay, u), out)
+// recoverInto computes the contents of unit u — lost or damaged — from the
+// rest of its stripe, into out, under the stripe's WRITE lock. u and every
+// lost unit of the stripe are erasures; a damaged unit the decode runs
+// into is absorbed as one more erasure, and healed in place, while the
+// code's budget of m erasures allows. Past the budget the stripe is
+// unrecoverable — under single parity, any lost or damaged sibling.
+func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
+	stripe, uj := s.lay.Locate(u)
+	lost, n, err := s.lostErasures(st, stripe, u, out)
 	if err != nil {
-		var le *lostUnitError
-		if errors.As(err, &le) {
-			return fmt.Errorf("%w: %v is damaged and %v is lost", ErrUnrecoverable, u, le.u)
-		}
 		return err
 	}
-	if len(damaged) > 0 {
+	list := lost[:n]
+	defer func() { s.freeErasures(list) }()
+	if !st.lost(u) {
+		// u is damaged in place (a healing read), not lost: erase it too.
+		// Its caller rewrites it, so no heal flag here.
+		if len(list) == s.code.m {
+			return fmt.Errorf("%w: %v is damaged and %d other units of its stripe are lost", ErrUnrecoverable, u, len(list))
+		}
+		list = append(list, erasure{gatherItem: s.unitItem(stripe, uj), out: out})
+	}
+	for {
+		damaged, err := s.decode(st, stripe, list)
+		if err != nil {
+			return err
+		}
+		if len(damaged) == 0 {
+			break
+		}
 		d := damaged[0]
-		return fmt.Errorf("%w: %v and %v are both damaged: %v", ErrUnrecoverable, u, d.loc, d.err)
+		if len(list) >= s.code.m {
+			return fmt.Errorf("%w: %v is unreadable and its stripe already has %d erasures: %v",
+				ErrUnrecoverable, d.loc, len(list), d.err)
+		}
+		// Budget left: absorb the damaged unit as another erasure and
+		// re-solve; its reconstructed contents heal it in place below.
+		s.countHeal(d.err)
+		s.scoreDiskError(d.loc.Disk)
+		buf := s.getBuf()
+		list = append(list, erasure{gatherItem: d.gatherItem, out: (*buf)[:s.unitSize], buf: buf, heal: true})
+	}
+	for _, e := range list {
+		if !e.heal {
+			continue
+		}
+		if werr := s.writeDataUnit(st.disk(e.loc), e.loc.Disk, e.loc.Offset, e.out); werr == nil {
+			s.healedUnits.Add(1)
+		} else {
+			s.scoreDiskError(e.loc.Disk)
+		}
 	}
 	return nil
-}
-
-// recoverInto computes the contents of unit u — lost or damaged — from
-// the rest of its stripe, into out: the XOR of the survivors under single
-// parity, the erasure decode under P+Q (which can see through one more
-// lost or damaged unit). Caller holds the stripe's WRITE lock.
-func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
-	if s.parities == 2 {
-		return s.pqRecoverInto(st, u, out)
-	}
-	return s.xorOthersInto(st, u, out)
 }
 
 // countHeal classifies a damaged-unit cause into the stats counters.

@@ -77,7 +77,7 @@ func driveTwin(t *testing.T, rng *rand.Rand, a, b *Store, ops int) {
 }
 
 // compareStores asserts both stores hold identical bytes in every data
-// unit and both pass CheckParity.
+// unit and on every in-service backend, and both pass CheckParity.
 func compareStores(t *testing.T, a, b *Store) {
 	t.Helper()
 	us := a.UnitSize()
@@ -94,6 +94,19 @@ func compareStores(t *testing.T, a, b *Store) {
 			t.Fatalf("unit %d differs between serial and parallel stores", n)
 		}
 	}
+	physA := make([]byte, a.physSize)
+	physB := make([]byte, b.physSize)
+	sta, stb := a.st.Load(), b.st.Load()
+	for d := range sta.disks {
+		for off := int64(0); off < a.unitsPerDisk; off++ {
+			if sta.disks[d].ReadUnit(off, physA) != nil || stb.disks[d].ReadUnit(off, physB) != nil {
+				continue // a failed slot
+			}
+			if !bytes.Equal(physA, physB) {
+				t.Fatalf("disk %d unit %d: on-disk bytes differ between serial and parallel stores", d, off)
+			}
+		}
+	}
 	if err := a.CheckParity(); err != nil {
 		t.Fatalf("serial CheckParity: %v", err)
 	}
@@ -104,47 +117,55 @@ func compareStores(t *testing.T, a, b *Store) {
 
 // TestParallelMatchesSerial drives a serial (IOWorkers=1) and a parallel
 // (IOWorkers=8) store through the same seeded lifecycle — healthy ops,
-// failure, degraded ops, rebuild, healed ops — and requires byte-identical
-// unit contents and clean parity at every phase boundary.
+// as many failures as the code corrects, degraded ops, a rebuild per
+// failure, healed ops — and requires byte-identical unit contents and
+// on-disk images, and clean parity, at every phase boundary.
 func TestParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			lay := testLayout(t, 7, 4)
-			mk := func(io, rw int) *Store {
-				s, err := New(Config{
-					Layout: lay, UnitsPerDisk: 48, UnitSize: 512,
-					IOWorkers: io, RebuildWorkers: rw,
+			for _, tc := range testCodes {
+				t.Run(tc.name, func(t *testing.T) {
+					lay := tc.lay(t, 7, 4)
+					mk := func(io, rw int) *Store {
+						s, err := New(Config{
+							Layout: lay, UnitsPerDisk: 48, UnitSize: 512,
+							IOWorkers: io, RebuildWorkers: rw,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(func() { s.Close() })
+						return s
+					}
+					serial := mk(1, 1)
+					parallel := mk(8, 4)
+					rng := rand.New(rand.NewSource(seed))
+
+					driveTwin(t, rng, serial, parallel, 200)
+					compareStores(t, serial, parallel)
+
+					for _, victim := range rng.Perm(lay.Disks())[:serial.Parities()] {
+						if err := serial.Fail(victim); err != nil {
+							t.Fatal(err)
+						}
+						if err := parallel.Fail(victim); err != nil {
+							t.Fatal(err)
+						}
+					}
+					driveTwin(t, rng, serial, parallel, 200)
+
+					for range serial.FailedDisks() {
+						if err := serial.Rebuild(NewMemDisk(48, 512)); err != nil {
+							t.Fatalf("serial rebuild: %v", err)
+						}
+						if err := parallel.Rebuild(NewMemDisk(48, 512)); err != nil {
+							t.Fatalf("parallel rebuild: %v", err)
+						}
+					}
+					driveTwin(t, rng, serial, parallel, 100)
+					compareStores(t, serial, parallel)
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { s.Close() })
-				return s
 			}
-			serial := mk(1, 1)
-			parallel := mk(8, 4)
-			rng := rand.New(rand.NewSource(seed))
-
-			driveTwin(t, rng, serial, parallel, 200)
-			compareStores(t, serial, parallel)
-
-			victim := rng.Intn(lay.Disks())
-			if err := serial.Fail(victim); err != nil {
-				t.Fatal(err)
-			}
-			if err := parallel.Fail(victim); err != nil {
-				t.Fatal(err)
-			}
-			driveTwin(t, rng, serial, parallel, 200)
-
-			if err := serial.Rebuild(NewMemDisk(48, 512)); err != nil {
-				t.Fatalf("serial rebuild: %v", err)
-			}
-			if err := parallel.Rebuild(NewMemDisk(48, 512)); err != nil {
-				t.Fatalf("parallel rebuild: %v", err)
-			}
-			driveTwin(t, rng, serial, parallel, 100)
-			compareStores(t, serial, parallel)
 		})
 	}
 }

@@ -25,16 +25,7 @@ func testPQLayout(t testing.TB, c, g int) layout.Layout {
 
 func newTestPQStore(t testing.TB, c, g int, unitsPerDisk int64, unitSize int) *Store {
 	t.Helper()
-	s, err := New(Config{
-		Layout:       testPQLayout(t, c, g),
-		UnitsPerDisk: unitsPerDisk,
-		UnitSize:     unitSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	return newStoreOn(t, testPQLayout(t, c, g), unitsPerDisk, unitSize)
 }
 
 func TestPQRoundTripAndParity(t *testing.T) {
@@ -451,57 +442,5 @@ func TestPQConcurrentDoubleFailureRebuild(t *testing.T) {
 	}
 	if st.Rebuilds != 2 {
 		t.Errorf("Rebuilds = %d, want 2", st.Rebuilds)
-	}
-}
-
-// TestPQSingleParityGolden pins the Parities:1 byte path: a store over the
-// classic single-parity layout must produce the exact same on-disk bytes
-// whether or not the P+Q code exists in the binary — i.e. the dispatch is
-// dormant at parities==1. The golden is the single-parity store itself,
-// byte-compared disk-for-disk against a twin built before any PQ write
-// path can diverge (both write the same sequence; their backends must
-// agree exactly).
-func TestPQSingleParityGolden(t *testing.T) {
-	build := func() *Store {
-		disks := make([]Disk, 7)
-		for i := range disks {
-			disks[i] = NewMemDisk(64, 512)
-		}
-		s, err := New(Config{
-			Layout: testLayout(t, 7, 3), UnitsPerDisk: 64, UnitSize: 512, Disks: disks,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := build(), build()
-	defer a.Close()
-	defer b.Close()
-	buf := make([]byte, a.UnitSize())
-	for n := int64(0); n < a.DataUnits(); n++ {
-		fill(buf, n, 11)
-		if err := a.WriteUnit(n, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.WriteUnit(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pa := make([]byte, a.physSize)
-	pb := make([]byte, b.physSize)
-	sta, stb := a.st.Load(), b.st.Load()
-	for d := 0; d < 7; d++ {
-		for off := int64(0); off < 64; off++ {
-			if sta.disks[d].ReadUnit(off, pa) != nil {
-				continue
-			}
-			if err := stb.disks[d].ReadUnit(off, pb); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(pa, pb) {
-				t.Fatalf("disk %d offset %d: single-parity stores diverge", d, off)
-			}
-		}
 	}
 }

@@ -6,13 +6,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"declust/internal/layout"
 )
 
 // The scrubber is the engine's background integrity sweep: it walks every
 // stripe, verifies each unit's checksum trailer and the stripe's parity
-// equation, and repairs what single-failure parity can repair — a damaged
-// unit is reconstructed from its siblings and rewritten; a stripe whose
-// units are all individually valid but whose XOR does not balance (the
+// equations, and repairs what the code can repair — a damaged unit is
+// reconstructed from its siblings and rewritten; a stripe whose units are
+// all individually valid but whose parity does not balance (the
 // lost-write signature, or a crash between data and parity commits) gets
 // its parity recomputed from data, resolving the conflict in favor of
 // data. The same per-stripe repair is what the write-intent recovery pass
@@ -30,80 +32,93 @@ const (
 // resyncStripe verifies and repairs one stripe under its write lock (or
 // before the store serves traffic). No unit of the stripe may be lost.
 // Damage within the code's correction power — one unit under single
-// parity, two under P+Q — is repaired in place; anything beyond is
-// unrecoverable.
+// parity, two under P+Q — is repaired in place from the syndromes the
+// verifying read already summed; anything beyond is unrecoverable.
 func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
-	if s.parities == 2 {
-		return s.resyncStripePQ(st, stripe)
+	syn, damaged, err := s.syndromes(st, stripe)
+	defer s.putBufs(syn)
+	if err != nil {
+		return fixNone, err
 	}
-	g := s.lay.G()
-	pp := s.lay.ParityPos(stripe)
-	phys := s.getBuf()
-	acc := s.getBuf()
-	defer s.putBuf(phys)
-	defer s.putBuf(acc)
-	accData := (*acc)[:s.unitSize]
-	for i := range accData {
-		accData[i] = 0
+	if len(damaged) > s.code.m {
+		return fixNone, fmt.Errorf("%w: stripe %d has %d damaged units (%v first), the code corrects %d",
+			ErrUnrecoverable, stripe, len(damaged), damaged[0].loc, s.code.m)
 	}
-	badJ := -1
-	var badErr error
-	for j := 0; j < g; j++ {
-		u := s.lay.Unit(stripe, j)
-		err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys)
-		if err == nil {
-			xorInto(accData, (*phys)[:s.unitSize])
-			continue
+	var acc [maxParities][]byte
+	for i, b := range syn {
+		if b != nil {
+			acc[i] = (*b)[:s.unitSize]
 		}
-		if !needsHeal(err) {
-			return fixNone, err
-		}
-		if badJ >= 0 {
-			return fixNone, fmt.Errorf("%w: stripe %d units %v and %v: %v",
-				ErrUnrecoverable, stripe, s.lay.Unit(stripe, badJ), u, err)
-		}
-		badJ, badErr = j, err
 	}
 
-	if badJ >= 0 {
-		// One damaged unit: its correct contents are the XOR of its
-		// siblings, which accData already holds.
-		u := s.lay.Unit(stripe, badJ)
-		s.countHeal(badErr)
-		s.scoreDiskError(u.Disk)
-		if err := s.writeDataUnit(st.disk(u), u.Disk, u.Offset, accData); err != nil {
-			return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", u, err)
+	if len(damaged) > 0 {
+		// The damaged units are the erasures, and each parity's syndrome
+		// over the valid units is exactly what the decode starts from.
+		var ords [maxParities]int
+		for e, d := range damaged {
+			ords[e] = d.ord
 		}
-		s.healedUnits.Add(1)
+		at := s.code.plan(ords[:len(damaged)])
+		s.code.solve(&acc, ords[:len(damaged)], at)
+		for e, d := range damaged {
+			s.countHeal(d.err)
+			s.scoreDiskError(d.loc.Disk)
+			if err := s.writeDataUnit(st.disk(d.loc), d.loc.Disk, d.loc.Offset, acc[at[e]]); err != nil {
+				return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", d.loc, err)
+			}
+			s.healedUnits.Add(1)
+		}
 		return fixUnit, nil
 	}
 
-	// All units individually valid: the parity equation must balance.
-	balanced := true
-	for _, b := range accData {
-		if b != 0 {
-			balanced = false
-			break
+	// All units individually valid: every parity equation must balance.
+	// One that does not — a write was lost somewhere, or a crash split a
+	// data/parity commit — gets its parity recomputed from data (the
+	// syndrome XORed into the stored parity), trusting data over parity.
+	fix := fixNone
+	for i, a := range acc {
+		if a == nil || isZero(a) {
+			continue
 		}
+		p := layout.ParityLocOf(s.lay, stripe, i)
+		phys := s.getBuf()
+		err := s.readPhys(st.disk(p), p.Disk, p.Offset, *phys)
+		if err == nil {
+			xorInto((*phys)[:s.unitSize], a)
+			if err = s.writeStamped(st.disk(p), p.Disk, p.Offset, *phys); err != nil {
+				err = fmt.Errorf("store: rewriting parity %v: %w", p, err)
+			}
+		}
+		s.putBuf(phys)
+		if err != nil {
+			return fixNone, err
+		}
+		fix = fixParity
 	}
-	if balanced {
-		return fixNone, nil
-	}
-	// It does not — a write was lost somewhere, or a crash split a
-	// data/parity commit. Recompute parity from data (XOR the imbalance
-	// into the stored parity), trusting data over parity.
-	ploc := s.lay.Unit(stripe, pp)
-	if err := s.readPhys(st.disk(ploc), ploc.Disk, ploc.Offset, *phys); err != nil {
-		return fixNone, err
-	}
-	xorInto((*phys)[:s.unitSize], accData)
-	if err := s.writeStamped(st.disk(ploc), ploc.Disk, ploc.Offset, *phys); err != nil {
-		return fixNone, fmt.Errorf("store: rewriting parity %v: %w", ploc, err)
-	}
-	return fixParity, nil
+	return fix, nil
 }
 
-// isUnrecoverable reports data loss single parity cannot repair.
+// syndromes reads every unit of stripe serially and folds it into one
+// pooled accumulator per parity: afterward syn[i] holds parity i's
+// syndrome — the stored parity XOR its sum over the data, zero when the
+// equation balances. Damaged units are left out of the sums and returned
+// in position order. No unit of the stripe may be lost.
+func (s *Store) syndromes(st *diskState, stripe int64) (syn [maxParities]*[]byte, damaged []damagedUnit, err error) {
+	var acc [maxParities][]byte
+	for i := 0; i < s.code.m; i++ {
+		syn[i] = s.getBuf()
+		acc[i] = (*syn[i])[:s.unitSize]
+		zeroBytes(acc[i])
+	}
+	items := make([]gatherItem, s.lay.G())
+	for j := range items {
+		items[j] = s.unitItem(stripe, j)
+	}
+	damaged, err = s.gatherSerial(st, items, acc)
+	return syn, damaged, err
+}
+
+// isUnrecoverable reports data loss the code cannot repair.
 func isUnrecoverable(err error) bool { return errors.Is(err, ErrUnrecoverable) }
 
 // stripeHasLost reports whether any unit of stripe is lost in st.

@@ -27,58 +27,114 @@ func TestScrubCleanStoreVerifiesEverything(t *testing.T) {
 	}
 }
 
+// TestScrubRepairsRottedUnit: under each code the scrub reconstructs and
+// rewrites a rotted unit, and resyncStripe repairs as many damaged units
+// of one stripe as the code corrects and reports one more as
+// unrecoverable.
 func TestScrubRepairsRottedUnit(t *testing.T) {
-	s := newTestStore(t, 7, 3, 64, 512)
-	fillAll(t, s, 6)
-	loc := s.mapper.Loc(11)
-	st := s.st.Load()
-	if err := st.disks[loc.Disk].WriteUnit(loc.Offset, bytes.Repeat([]byte{0xEE}, s.physSize)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Scrub()
-	if err != nil {
-		t.Fatalf("Scrub: %v", err)
-	}
-	if res.UnitRepairs != 1 {
-		t.Fatalf("UnitRepairs = %d, want 1", res.UnitRepairs)
-	}
-	verifyUnit(t, s, 11, 6)
-	if err := s.CheckParity(); err != nil {
-		t.Fatalf("CheckParity after scrub: %v", err)
+	for _, tc := range testCodes {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStoreOn(t, tc.lay(t, 7, 4), 64, 512)
+			m := s.Parities()
+			fillAll(t, s, 6)
+			rot(t, s, s.mapper.Loc(11))
+			res, err := s.Scrub()
+			if err != nil {
+				t.Fatalf("Scrub: %v", err)
+			}
+			if res.UnitRepairs != 1 {
+				t.Fatalf("UnitRepairs = %d, want 1", res.UnitRepairs)
+			}
+			verifyUnit(t, s, 11, 6)
+			if err := s.CheckParity(); err != nil {
+				t.Fatalf("CheckParity after scrub: %v", err)
+			}
+
+			st := s.st.Load()
+			for j := 0; j < m; j++ {
+				rot(t, s, s.lay.Unit(4, j))
+			}
+			if fix, err := s.resyncStripe(st, 4); err != nil || fix != fixUnit {
+				t.Fatalf("%d damaged: resync = (%v, %v), want (fixUnit, nil)", m, fix, err)
+			}
+			for n := 4 * s.dataPerStripe; n < 5*s.dataPerStripe; n++ {
+				verifyUnit(t, s, n, 6)
+			}
+			for j := 0; j <= m; j++ {
+				rot(t, s, s.lay.Unit(5, j))
+			}
+			if _, err := s.resyncStripe(st, 5); !errors.Is(err, ErrUnrecoverable) {
+				t.Fatalf("%d damaged: resync = %v, want ErrUnrecoverable", m+1, err)
+			}
+		})
 	}
 }
 
+// TestScrubDetectsLostParityWrite drops one parity commit per parity unit
+// — data goes down, that parity stays stale. The unit checksums all
+// verify; only the parity equation betrays the lost write, and the scrub
+// resolves it in favor of data. resyncStripe, which the scrub runs per
+// stripe, recomputes whichever parity is stale, each independently, and
+// leaves a clean stripe alone.
 func TestScrubDetectsLostParityWrite(t *testing.T) {
-	s, fds := faultStore(t, 7, 3, 64, 512,
-		func(int) FaultConfig { return FaultConfig{} }, Config{})
-	fillAll(t, s, 1)
-	// Drop the parity commit of one write: data goes down, parity stays
-	// stale. The unit checksums all verify — only the parity equation
-	// betrays the lost write, and the scrub resolves it in favor of data.
-	n := int64(3)
-	loc := s.mapper.Loc(n)
-	stripe, _ := s.lay.Locate(loc)
-	ploc := layout.ParityLoc(s.lay, stripe)
-	fds[ploc.Disk].LoseNextWrite()
-	buf := make([]byte, s.UnitSize())
-	fill(buf, n, 2)
-	if err := s.WriteUnit(n, buf); err != nil {
-		t.Fatalf("WriteUnit with lost parity: %v", err)
+	for _, tc := range testCodes {
+		t.Run(tc.name, func(t *testing.T) {
+			s, fds := faultStore(t, tc.lay(t, 7, 4), 64, 512,
+				func(int) FaultConfig { return FaultConfig{} }, Config{})
+			m := s.Parities()
+			fillAll(t, s, 1)
+			for k := 0; k < m; k++ {
+				n := int64(3 + 10*k)
+				stripe, _ := s.lay.Locate(s.mapper.Loc(n))
+				fds[layout.ParityLocOf(s.lay, stripe, k).Disk].LoseNextWrite()
+				buf := make([]byte, s.UnitSize())
+				fill(buf, n, 2)
+				if err := s.WriteUnit(n, buf); err != nil {
+					t.Fatalf("WriteUnit with lost parity %d: %v", k, err)
+				}
+				if err := s.CheckParity(); err == nil {
+					t.Fatalf("CheckParity missed stale parity %d", k)
+				}
+				res, err := s.Scrub()
+				if err != nil {
+					t.Fatalf("Scrub: %v", err)
+				}
+				if res.ParityRewrites != 1 {
+					t.Fatalf("ParityRewrites = %d, want 1", res.ParityRewrites)
+				}
+				if err := s.CheckParity(); err != nil {
+					t.Fatalf("CheckParity after scrub: %v", err)
+				}
+				verifyUnit(t, s, n, 2)
+			}
+
+			fillAll(t, s, 11)
+			st := s.st.Load()
+			for k := 0; k < m; k++ {
+				stripe := int64(1 + k)
+				u := layout.ParityLocOf(s.lay, stripe, k)
+				phys := make([]byte, s.physSize)
+				for i := 0; i < s.unitSize; i++ {
+					phys[i] = byte(0xA5 ^ i)
+				}
+				if err := s.writeStamped(st.disk(u), u.Disk, u.Offset, phys); err != nil {
+					t.Fatal(err)
+				}
+				if fix, err := s.resyncStripe(st, stripe); err != nil || fix != fixParity {
+					t.Fatalf("stale parity %d: resync = (%v, %v), want (fixParity, nil)", k, fix, err)
+				}
+			}
+			if fix, err := s.resyncStripe(st, int64(1+m)); err != nil || fix != fixNone {
+				t.Fatalf("clean stripe: resync = (%v, %v), want (fixNone, nil)", fix, err)
+			}
+			if err := s.CheckParity(); err != nil {
+				t.Fatalf("CheckParity after resync: %v", err)
+			}
+			for n := int64(0); n < s.DataUnits(); n++ {
+				verifyUnit(t, s, n, 11)
+			}
+		})
 	}
-	if err := s.CheckParity(); err == nil {
-		t.Fatal("CheckParity missed the stale parity unit")
-	}
-	res, err := s.Scrub()
-	if err != nil {
-		t.Fatalf("Scrub: %v", err)
-	}
-	if res.ParityRewrites != 1 {
-		t.Fatalf("ParityRewrites = %d, want 1", res.ParityRewrites)
-	}
-	if err := s.CheckParity(); err != nil {
-		t.Fatalf("CheckParity after scrub: %v", err)
-	}
-	verifyUnit(t, s, n, 2)
 }
 
 func TestScrubCountsUnrecoverableStripes(t *testing.T) {

@@ -106,8 +106,8 @@ func (m Mode) String() string {
 type Stats struct {
 	// Reads and Writes count completed user unit operations.
 	Reads, Writes int64
-	// DegradedReads counts reads served by on-the-fly XOR reconstruction
-	// from the G−1 survivors.
+	// DegradedReads counts reads served by on-the-fly reconstruction
+	// from the stripe's survivors.
 	DegradedReads int64
 	// FoldedWrites counts writes to lost units absorbed by the parity
 	// unit (no replacement installed, or stripe not yet rebuilt).
@@ -209,7 +209,7 @@ func (st *diskState) disk(loc layout.Loc) Disk {
 type Store struct {
 	lay           layout.Layout
 	mapper        layout.StripeIndexMapper
-	parities      int   // parity units per stripe: 1 (P) or 2 (P+Q)
+	code          code  // the stripe erasure code: P or P+Q
 	dataPerStripe int64 // data units per stripe: G − parities
 	unitSize      int
 	physSize      int
@@ -340,7 +340,7 @@ func New(cfg Config) (*Store, error) {
 	s := &Store{
 		lay:            l,
 		mapper:         layout.StripeIndexMapper{L: l},
-		parities:       parities,
+		code:           code{m: parities},
 		dataPerStripe:  int64(layout.DataPerStripe(l)),
 		unitSize:       cfg.UnitSize,
 		physSize:       PhysUnitSize(cfg.UnitSize),
@@ -545,7 +545,7 @@ func (s *Store) FailedDisks() []int {
 }
 
 // Parities returns the store's parity units per stripe: 1 (P) or 2 (P+Q).
-func (s *Store) Parities() int { return s.parities }
+func (s *Store) Parities() int { return s.code.m }
 
 // Stats returns a snapshot of the engine counters.
 func (s *Store) Stats() Stats {
@@ -589,7 +589,7 @@ func (s *Store) checkUnit(n int64, buf []byte) error {
 }
 
 // ReadUnit reads logical data unit n into dst (exactly one unit). Lost
-// units are reconstructed on the fly by XORing the stripe's survivors;
+// units are decoded on the fly from the stripe's survivors;
 // damaged units (media errors, checksum mismatches) are reconstructed
 // the same way and rewritten in place — the self-healing read.
 func (s *Store) ReadUnit(n int64, dst []byte) error {
@@ -653,23 +653,21 @@ func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
 	return s.readUnitHealing(st, loc, dst)
 }
 
-// reconstructLocked computes loc's contents into dst from its stripe's
-// surviving units: the XOR of the G−1 survivors under single parity
-// (fanned across idle I/O workers), the erasure decode under P+Q. Caller
-// holds (at least) the stripe's read lock; damaged survivors are reported
-// (needsHeal), not repaired — repairing requires the write lock, which
-// healRead takes for the exclusive retry.
+// reconstructLocked decodes loc's contents into dst from its stripe's
+// surviving units — under single parity the XOR of the G−1 survivors —
+// fanning the reads across idle I/O workers. Caller holds (at least) the
+// stripe's read lock; damaged survivors are reported (needsHeal), not
+// repaired — repairing requires the write lock, which healRead takes for
+// the exclusive retry.
 func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) error {
-	if s.parities == 2 {
-		return s.pqReconstructLocked(st, loc, dst)
-	}
-	zeroBytes(dst)
-	damaged, err := s.xorUnitsInto(st, layout.SurvivingUnits(s.lay, loc), dst)
+	stripe, _ := s.lay.Locate(loc)
+	lost, n, err := s.lostErasures(st, stripe, loc, dst)
 	if err != nil {
-		var le *lostUnitError
-		if errors.As(err, &le) {
-			return fmt.Errorf("%w: two lost units in one stripe (%v and %v)", ErrUnrecoverable, loc, le.u)
-		}
+		return err
+	}
+	defer s.freeErasures(lost[:n])
+	damaged, err := s.decode(st, stripe, lost[:n])
+	if err != nil {
 		return err
 	}
 	if len(damaged) > 0 {
@@ -719,181 +717,185 @@ func (s *Store) writeStripeLocked(stripe int64, locs []layout.Loc, datas [][]byt
 	return nil
 }
 
-// commitStripeLocked performs the stripe's parity-maintaining update.
-// The single-unit path (WriteUnit) runs the exact serial sequence —
-// pre-read, delta, commit — with no fan-out machinery, preserving the
-// zero-extra-alloc hot path; multi-unit commits (range writes) fan their
-// independent pre-reads and commit writes across idle I/O workers.
+// commitStripeLocked performs the stripe's parity-maintaining update, one
+// accumulator per live parity:
+//
+//   - large write (the segment covers every data unit): parity from the
+//     new contents alone, no pre-reads;
+//   - every written unit readable: delta read-modify-write, folding each
+//     written unit's old⊕new terms into the old parities — the
+//     four-access small write under P, six under P+Q;
+//   - a written unit lost: its old contents are unreadable, so fold
+//     forward — parity from every data unit's new contents, unwritten
+//     survivors read and a lost unwritten unit decoded from the old
+//     parities;
+//   - a lost parity is not maintained (§7): the rebuild recomputes it from
+//     data, and with every parity lost the writes are plain data writes.
+//
+// A single-unit update (WriteUnit) runs its pre-reads and commits serially
+// with no fan-out machinery, preserving the zero-extra-alloc hot path;
+// multi-unit updates (range writes) fan their independent pre-reads and
+// commit writes across idle I/O workers.
 func (s *Store) commitStripeLocked(stripe int64, locs []layout.Loc, datas [][]byte) error {
-	if s.parities == 2 {
-		return s.commitStripePQ(stripe, locs, datas)
-	}
 	st := s.st.Load()
-	ploc := layout.ParityLoc(s.lay, stripe)
-
-	if st.lost(ploc) {
-		// Lost parity: there is no parity to maintain, so each write is
-		// a single data access (§7); the rebuild sweep recomputes the
-		// parity unit from data when its turn comes.
-		if len(locs) == 1 {
-			return s.writeDataUnit(st.disk(locs[0]), locs[0].Disk, locs[0].Offset, datas[0])
-		}
-		return s.fanOut(len(locs), func(i int) error {
-			return s.writeDataUnit(st.disk(locs[i]), locs[i].Disk, locs[i].Offset, datas[i])
-		})
-	}
-
-	// Find the stripe's lost data unit, if any, and whether it is being
-	// written. A single-failure-correcting layout puts at most one unit
-	// of a stripe on any disk.
-	lostIdx := -1 // index into locs of a written lost unit
-	var lostLoc layout.Loc
-	haveLost := false
-	if len(st.fails) > 0 {
-		g := s.lay.G()
-		pp := s.lay.ParityPos(stripe)
-		for j := 0; j < g; j++ {
-			if j == pp {
-				continue
-			}
-			u := s.lay.Unit(stripe, j)
-			if st.lost(u) {
-				lostLoc, haveLost = u, true
-				break
-			}
-		}
-		if haveLost {
-			for i, loc := range locs {
-				if loc == lostLoc {
-					lostIdx = i
-					break
-				}
-			}
+	c := s.code
+	var plocs [maxParities]layout.Loc
+	var pbufs [maxParities]*[]byte
+	var acc [maxParities][]byte
+	live := false
+	for i := 0; i < c.m; i++ {
+		plocs[i] = layout.ParityLocOf(s.lay, stripe, i)
+		if !st.lost(plocs[i]) {
+			pbufs[i] = s.getBuf()
+			acc[i] = (*pbufs[i])[:s.unitSize]
+			zeroBytes(acc[i])
+			live = true
 		}
 	}
+	defer s.putBufs(pbufs)
+	if !live {
+		return s.commitUnits(st, locs, datas, plocs, pbufs)
+	}
 
-	pbuf := s.getBuf()
-	defer s.putBuf(pbuf)
-	pdata := (*pbuf)[:s.unitSize]
+	writtenLost := false
+	for _, loc := range locs {
+		writtenLost = writtenLost || st.lost(loc)
+	}
+	obuf := s.getBuf()
+	defer s.putBuf(obuf)
+	odata := (*obuf)[:s.unitSize]
 
 	switch {
-	case len(locs) == s.lay.G()-1:
-		// Large-write optimization: the segment covers every data unit
-		// of the stripe, so parity is computed from the new contents
-		// with no pre-reads.
-		copy(pdata, datas[0])
-		for _, d := range datas[1:] {
-			xorInto(pdata, d)
+	case int64(len(locs)) == s.dataPerStripe:
+		for i, loc := range locs {
+			c.add(&acc, s.ordinal(stripe, loc), datas[i])
 		}
-	case haveLost && lostIdx >= 0:
-		// Writing the lost unit: its old contents are unreadable, so the
-		// delta method is unavailable. Fold forward instead: parity
-		// becomes the XOR of every data unit's new contents — written
-		// units contribute their new data, unwritten survivors are read.
-		copy(pdata, datas[lostIdx])
-		for i, d := range datas {
-			if i != lostIdx {
-				xorInto(pdata, d)
-			}
-		}
-		if len(locs) == 1 {
-			obuf := s.getBuf()
-			odata := (*obuf)[:s.unitSize]
-			g := s.lay.G()
-			pp := s.lay.ParityPos(stripe)
-			for j := 0; j < g; j++ {
-				if j == pp {
-					continue
-				}
-				u := s.lay.Unit(stripe, j)
-				if u == locs[0] {
-					continue
-				}
-				if err := s.readUnitHealing(st, u, odata); err != nil {
-					s.putBuf(obuf)
+	case !writtenLost && len(locs) == 1:
+		// Pre-reads heal damaged units in place — the write lock is
+		// already held.
+		for i := 0; i < c.m; i++ {
+			if acc[i] != nil {
+				if err := s.readUnitHealing(st, plocs[i], acc[i]); err != nil {
 					return err
 				}
-				xorInto(pdata, odata)
-			}
-			s.putBuf(obuf)
-			break
-		}
-		g := s.lay.G()
-		pp := s.lay.ParityPos(stripe)
-		units := make([]layout.Loc, 0, g-1)
-		for j := 0; j < g; j++ {
-			if j == pp {
-				continue
-			}
-			u := s.lay.Unit(stripe, j)
-			written := false
-			for _, loc := range locs {
-				if u == loc {
-					written = true
-					break
-				}
-			}
-			if !written {
-				units = append(units, u)
 			}
 		}
-		if err := s.gatherHealing(st, units, pdata); err != nil {
+		if err := s.readUnitHealing(st, locs[0], odata); err != nil {
 			return err
+		}
+		xorInto(odata, datas[0]) // odata is now the delta
+		c.add(&acc, s.ordinal(stripe, locs[0]), odata)
+	case !writtenLost:
+		// The old parities and every written unit's old contents gather
+		// concurrently (each fold is an XOR of terms, so order is free);
+		// the new contents fold in afterward.
+		items := make([]gatherItem, 0, c.m+len(locs))
+		for i := 0; i < c.m; i++ {
+			if acc[i] != nil {
+				items = append(items, gatherItem{loc: plocs[i], ord: -1 - i})
+			}
+		}
+		for _, loc := range locs {
+			items = append(items, gatherItem{loc: loc, ord: s.ordinal(stripe, loc)})
+		}
+		if err := s.gatherHealing(st, items, acc); err != nil {
+			return err
+		}
+		for i, it := range items[len(items)-len(locs):] { // the written units
+			c.add(&acc, it.ord, datas[i])
 		}
 	default:
-		// Read-modify-write: parity' = parity ⊕ old ⊕ new, folded over
-		// every written unit. All written units are readable here (a
-		// written lost unit takes the branch above). Pre-reads heal
-		// damaged units in place — the write lock is already held.
-		if len(locs) == 1 {
-			if err := s.readUnitHealing(st, ploc, pdata); err != nil {
+		var rest []gatherItem // unwritten survivors of a multi-unit write
+		for d := 0; d < int(s.dataPerStripe); d++ {
+			u := s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d))
+			w := -1
+			for i, loc := range locs {
+				if loc == u {
+					w = i
+				}
+			}
+			var err error
+			switch {
+			case w >= 0:
+				c.add(&acc, d, datas[w])
+				continue
+			case st.lost(u):
+				// Unwritten and lost: decode its unchanged contents from
+				// the old parities and the other survivors.
+				err = s.recoverInto(st, u, odata)
+			case len(locs) > 1:
+				rest = append(rest, gatherItem{loc: u, ord: d})
+				continue
+			default:
+				err = s.readUnitHealing(st, u, odata)
+			}
+			if err != nil {
 				return err
 			}
-			obuf := s.getBuf()
-			odata := (*obuf)[:s.unitSize]
-			if err := s.readUnitHealing(st, locs[0], odata); err != nil {
-				s.putBuf(obuf)
+			c.add(&acc, d, odata)
+		}
+		if len(rest) > 0 {
+			if err := s.gatherHealing(st, rest, acc); err != nil {
 				return err
 			}
-			xorInto(pdata, odata)
-			xorInto(pdata, datas[0])
-			s.putBuf(obuf)
-			break
-		}
-		// XOR is order-independent, so the old parity and every written
-		// unit's old contents gather concurrently into pdata; the new
-		// contents fold in afterward.
-		zeroBytes(pdata)
-		units := make([]layout.Loc, 0, len(locs)+1)
-		units = append(units, ploc)
-		units = append(units, locs...)
-		if err := s.gatherHealing(st, units, pdata); err != nil {
-			return err
-		}
-		for _, d := range datas {
-			xorInto(pdata, d)
 		}
 	}
+	return s.commitUnits(st, locs, datas, plocs, pbufs)
+}
 
-	// Commit data, then parity. A written lost unit goes to the
-	// replacement when one is installed (write redirection, which counts
-	// as reconstruction); with no replacement it is dropped — parity now
-	// encodes it, which is the fold.
+// ordinal returns data unit loc's data ordinal within stripe.
+func (s *Store) ordinal(stripe int64, loc layout.Loc) int {
+	_, j := s.lay.Locate(loc)
+	return layout.DataOrdinal(s.lay, stripe, j)
+}
+
+// putBufs returns the non-nil pooled buffers of a per-parity set.
+func (s *Store) putBufs(bufs [maxParities]*[]byte) {
+	for _, b := range bufs {
+		if b != nil {
+			s.putBuf(b)
+		}
+	}
+}
+
+// commitUnits commits the data units, then every parity with a buffer. A
+// written lost unit goes to the replacement when one is installed (write
+// redirection, which counts as reconstruction); with no replacement it is
+// dropped — parity now encodes it, which is the fold.
+func (s *Store) commitUnits(st *diskState, locs []layout.Loc, datas [][]byte, plocs [maxParities]layout.Loc, pbufs [maxParities]*[]byte) error {
 	if len(locs) == 1 {
-		if err := s.commitOneLocked(st, locs[0], datas[0], lostIdx == 0); err != nil {
+		if err := s.commitOneLocked(st, locs[0], datas[0]); err != nil {
 			return err
 		}
-		return s.writeStamped(st.disk(ploc), ploc.Disk, ploc.Offset, *pbuf)
-	}
-	// Multi-unit commit: the data writes and the parity write land on
-	// distinct disks, so they fan out as one batch. Ordering among them
-	// carries no crash-consistency weight — the region's durable intent
-	// mark covers any interleaving, and recovery resyncs the stripe.
-	return s.fanOut(len(locs)+1, func(i int) error {
-		if i == len(locs) {
-			return s.writeStamped(st.disk(ploc), ploc.Disk, ploc.Offset, *pbuf)
+		for i, b := range pbufs {
+			if b != nil {
+				if err := s.writeStamped(st.disk(plocs[i]), plocs[i].Disk, plocs[i].Offset, *b); err != nil {
+					return err
+				}
+			}
 		}
-		return s.commitOneLocked(st, locs[i], datas[i], i == lostIdx)
+		return nil
+	}
+	return s.commitMany(st, locs, datas, plocs, pbufs)
+}
+
+// commitMany is commitUnits for several data units: the data writes and
+// the parity writes land on distinct disks, so they fan out as one batch.
+// Ordering among them carries no crash-consistency weight — the region's
+// durable intent mark covers any interleaving, and recovery resyncs the
+// stripe. It is a function of its own because the variables its closure
+// captures move to the heap, which the single-unit path must not pay.
+func (s *Store) commitMany(st *diskState, locs []layout.Loc, datas [][]byte, plocs [maxParities]layout.Loc, pbufs [maxParities]*[]byte) error {
+	n := len(locs)
+	return s.fanOut(n+s.code.m, func(i int) error {
+		if i < n {
+			return s.commitOneLocked(st, locs[i], datas[i])
+		}
+		if pbufs[i-n] == nil {
+			return nil
+		}
+		p := plocs[i-n]
+		return s.writeStamped(st.disk(p), p.Disk, p.Offset, *pbufs[i-n])
 	})
 }
 
@@ -901,9 +903,9 @@ func (s *Store) commitStripeLocked(stripe int64, locs []layout.Loc, datas [][]by
 // normally, to the replacement when the unit is lost and one is installed
 // (write redirection), or to parity alone when it is lost with no
 // replacement (the fold — no write at all).
-func (s *Store) commitOneLocked(st *diskState, loc layout.Loc, data []byte, isLost bool) error {
-	if isLost {
-		if f := st.slot(loc.Disk); f != nil && f.repl != nil {
+func (s *Store) commitOneLocked(st *diskState, loc layout.Loc, data []byte) error {
+	if st.lost(loc) {
+		if f := st.slot(loc.Disk); f.repl != nil {
 			if err := s.writeDataUnit(f.repl, loc.Disk, loc.Offset, data); err != nil {
 				return err
 			}
@@ -917,13 +919,13 @@ func (s *Store) commitOneLocked(st *diskState, loc layout.Loc, data []byte, isLo
 	return s.writeDataUnit(st.disk(loc), loc.Disk, loc.Offset, data)
 }
 
-// gatherHealing XORs the listed units' contents into dst. The reads fan
-// out raw across idle I/O workers; units they report damaged are then
-// healed serially — the caller holds the stripe's write lock, and a heal
-// rewrites its unit, which must never race the batch's other reads. No
-// listed unit may be lost.
-func (s *Store) gatherHealing(st *diskState, units []layout.Loc, dst []byte) error {
-	damaged, err := s.xorUnitsInto(st, units, dst)
+// gatherHealing folds the listed units' contents into acc (see gather).
+// The reads fan out raw across idle I/O workers; units they report damaged
+// are then healed serially — the caller holds the stripe's write lock, and
+// a heal rewrites its unit, which must never race the batch's other reads.
+// No listed unit may be lost.
+func (s *Store) gatherHealing(st *diskState, items []gatherItem, acc [maxParities][]byte) error {
+	damaged, err := s.gather(st, items, acc)
 	if err != nil {
 		return err
 	}
@@ -937,7 +939,7 @@ func (s *Store) gatherHealing(st *diskState, units []layout.Loc, dst []byte) err
 		if err := s.readUnitHealing(st, d.loc, odata); err != nil {
 			return err
 		}
-		xorInto(dst, odata)
+		s.code.add(&acc, d.ord, odata)
 	}
 	return nil
 }
@@ -961,12 +963,9 @@ func (s *Store) Fail(d int) error {
 	s.admin.Lock()
 	defer s.admin.Unlock()
 	st := s.st.Load()
-	if len(st.fails) >= s.parities {
-		if s.parities == 1 {
-			return fmt.Errorf("store: disk %d already failed; single-failure layout", st.fails[0].disk)
-		}
-		return fmt.Errorf("store: disks %d and %d already failed; the P+Q code corrects two failures",
-			st.fails[0].disk, st.fails[1].disk)
+	if len(st.fails) >= s.code.m {
+		return fmt.Errorf("store: disks %v already failed; the code corrects %d failures",
+			s.FailedDisks(), s.code.m)
 	}
 	if d < 0 || d >= len(st.disks) {
 		return fmt.Errorf("store: disk %d out of range [0,%d)", d, len(st.disks))
@@ -1117,40 +1116,31 @@ func (s *Store) Rebuild(repl Disk) error {
 }
 
 // CheckParity verifies, at quiesce (no operations in flight), that every
-// stripe's checksums hold and its parity equations balance: the XOR over
-// all units of a whole stripe is zero and — under P+Q — the Reed–Solomon
-// sum over the data units equals the stored Q. Stripes with a lost unit
-// are skipped — their consistency is exactly what degraded reads exercise.
-// CheckParity reports damage; Scrub repairs it.
+// stripe's checksums hold and its parity equations balance — each parity
+// equals its sum over the stripe's data units (the XOR for P, the
+// Reed–Solomon sum for Q). Stripes with a lost unit are skipped — their
+// consistency is exactly what degraded reads exercise. CheckParity reports
+// damage; Scrub repairs it.
 func (s *Store) CheckParity() error {
-	if s.parities == 2 {
-		return s.checkParityPQ()
-	}
-	g := s.lay.G()
 	return s.fanOut(int(s.numStripes), func(i int) error {
 		stripe := int64(i)
-		buf := s.getBuf()
-		acc := s.getBuf()
-		defer s.putBuf(buf)
-		defer s.putBuf(acc)
-		accData := (*acc)[:s.unitSize]
-		zeroBytes(accData)
 		s.locks.rlock(stripe)
 		defer s.locks.runlock(stripe)
 		st := s.st.Load()
-		for j := 0; j < g; j++ {
-			u := s.lay.Unit(stripe, j)
-			if st.lost(u) {
-				return nil // skipped: degraded reads exercise its consistency
-			}
-			if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *buf); err != nil {
-				return fmt.Errorf("store: stripe %d: %w", stripe, err)
-			}
-			xorInto(accData, (*buf)[:s.unitSize])
+		if s.stripeHasLost(st, stripe) {
+			return nil // skipped: degraded reads exercise its consistency
 		}
-		for _, b := range accData {
-			if b != 0 {
-				return fmt.Errorf("store: stripe %d parity inconsistent", stripe)
+		syn, damaged, err := s.syndromes(st, stripe)
+		defer s.putBufs(syn)
+		if err == nil && len(damaged) > 0 {
+			err = damaged[0].err
+		}
+		if err != nil {
+			return fmt.Errorf("store: stripe %d: %w", stripe, err)
+		}
+		for k, b := range syn {
+			if b != nil && !isZero((*b)[:s.unitSize]) {
+				return fmt.Errorf("store: stripe %d parity %c inconsistent", stripe, "PQ"[k])
 			}
 		}
 		return nil
@@ -1251,6 +1241,16 @@ func zeroBytes(b []byte) {
 	for i := range b {
 		b[i] = 0
 	}
+}
+
+// isZero reports whether every byte of b is zero.
+func isZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // xorInto XORs src into dst in place; lengths are equal unit sizes,

@@ -20,10 +20,26 @@ func testLayout(t testing.TB, c, g int) layout.Layout {
 	return m.Layout
 }
 
+// testCodes are the stripe codes the code-generic tests run over, each
+// with the layout selector that builds it.
+var testCodes = []struct {
+	name string
+	lay  func(t testing.TB, c, g int) layout.Layout
+}{
+	{"P", testLayout},
+	{"PQ", testPQLayout},
+}
+
 func newTestStore(t testing.TB, c, g int, unitsPerDisk int64, unitSize int) *Store {
 	t.Helper()
+	return newStoreOn(t, testLayout(t, c, g), unitsPerDisk, unitSize)
+}
+
+// newStoreOn builds a mem-backed store over lay, closed at cleanup.
+func newStoreOn(t testing.TB, lay layout.Layout, unitsPerDisk int64, unitSize int) *Store {
+	t.Helper()
 	s, err := New(Config{
-		Layout:       testLayout(t, c, g),
+		Layout:       lay,
 		UnitsPerDisk: unitsPerDisk,
 		UnitSize:     unitSize,
 	})
