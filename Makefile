@@ -11,7 +11,7 @@ BENCH_PKGS ?= . ./internal/sim ./internal/store
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f nightly vet fmt-check fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f nightly vet fmt-check fault-smoke perfbench-check lint cover verify clean
 
 all: build
 
@@ -93,6 +93,12 @@ fmt-check:
 fault-smoke:
 	$(GO) run ./examples/continuous
 
+# The end-to-end benchmark lives in its own module (perfbench/, outside
+# ./...): vet and test it here so a store API change that breaks it fails
+# the gate instead of the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Pinned static analysis: staticcheck (bug-prone constructs, dead code,
 # style drift) and govulncheck (known CVEs reachable from this module).
 # Needs network access to fetch the pinned tools on first run.
@@ -114,8 +120,9 @@ cover:
 # The full pre-merge gate: formatting, static checks, build, one race pass
 # over every test (the chaos and crash tests in their own targets), the
 # fault-injection lifecycle smoke, the storage chaos invariants (single-
-# and double-failure), and a benchmark smoke pass.
-verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f bench-smoke
+# and double-failure), the benchmark module's vet and tests, and a
+# benchmark smoke pass.
+verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f perfbench-check bench-smoke
 	@echo "verify: OK"
 
 clean:

@@ -66,7 +66,6 @@ type config struct {
 	retries       int
 	failThreshold int
 	ioWorkers     int
-	rebuildWork   int
 }
 
 func main() {
@@ -94,8 +93,7 @@ func main() {
 	flag.DurationVar(&cfg.scrubThrottle, "scrub-throttle", 0, "scrub throttle per stripe (e.g. 100us)")
 	flag.IntVar(&cfg.retries, "retries", 0, "transient-error retries per op (0 = engine default)")
 	flag.IntVar(&cfg.failThreshold, "fail-threshold", 0, "auto-fail a disk after this many persistent errors (0 = off)")
-	flag.IntVar(&cfg.ioWorkers, "io-workers", 0, "intra-request I/O fan-out width (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.rebuildWork, "rebuild-workers", 0, "concurrent rebuild/scrub shards (0 = io-workers)")
+	flag.IntVar(&cfg.ioWorkers, "io-workers", 0, "I/O fan-out width and rebuild/scrub shard count (0 = GOMAXPROCS)")
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "store:", err)
@@ -124,7 +122,6 @@ func run(cfg config, out io.Writer) error {
 		Retries:         cfg.retries,
 		FailThreshold:   cfg.failThreshold,
 		IOWorkers:       cfg.ioWorkers,
-		RebuildWorkers:  cfg.rebuildWork,
 	}
 	if cfg.failDisk < 0 || cfg.failDisk >= cfg.c {
 		return fmt.Errorf("-fail %d out of range [0,%d)", cfg.failDisk, cfg.c)
@@ -225,13 +222,9 @@ func run(cfg config, out io.Writer) error {
 	if ioWorkers < 1 {
 		ioWorkers = runtime.GOMAXPROCS(0)
 	}
-	rebuildWorkers := cfg.rebuildWork
-	if rebuildWorkers < 1 {
-		rebuildWorkers = ioWorkers
-	}
 	total := s.DataUnits()
-	fmt.Fprintf(out, "store: C=%d G=%d code %s, %d data units x %d B (%.1f MB usable), %d clients, %d io-workers, %d rebuild-workers\n",
-		cfg.c, cfg.g, codeName, total, cfg.unitSize, float64(total*int64(cfg.unitSize))/1e6, cfg.clients, ioWorkers, rebuildWorkers)
+	fmt.Fprintf(out, "store: C=%d G=%d code %s, %d data units x %d B (%.1f MB usable), %d clients, %d io-workers\n",
+		cfg.c, cfg.g, codeName, total, cfg.unitSize, float64(total*int64(cfg.unitSize))/1e6, cfg.clients, ioWorkers)
 
 	// version[n] is unit n's last written version; clients own disjoint
 	// unit ranges so each slot has a single writer.
@@ -453,8 +446,8 @@ func run(cfg config, out io.Writer) error {
 		return err
 	}
 	// Lifecycle summary: one row per phase so the effect of -io-workers
-	// and -rebuild-workers is visible at a glance across the run.
-	fmt.Fprintf(out, "lifecycle summary (code %s, %d io-workers, %d rebuild-workers):\n", codeName, ioWorkers, rebuildWorkers)
+	// is visible at a glance across the run.
+	fmt.Fprintf(out, "lifecycle summary (code %s, %d io-workers):\n", codeName, ioWorkers)
 	for _, p := range phases {
 		if p.rebuild {
 			fmt.Fprintf(out, "  %-12s %8.1f MB/s  (%d units reconstructed in %.2fs wall-clock)\n",

@@ -15,7 +15,7 @@ func TestRunMemScenario(t *testing.T) {
 		c: 7, g: 3, units: 64, unitSize: 512,
 		backend: "mem", clients: 4, phaseSecs: 0.05,
 		readFrac: 0.5, throttle: 50 * time.Microsecond, failDisk: 2,
-		ioWorkers: 8, rebuildWork: 4,
+		ioWorkers: 8,
 	}
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
@@ -23,7 +23,7 @@ func TestRunMemScenario(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"fault-free", "degraded", "rebuilding", "healed", "verify: OK",
-		"8 io-workers, 4 rebuild-workers", "lifecycle summary", "wall-clock",
+		"8 io-workers", "lifecycle summary", "wall-clock",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
@@ -100,7 +100,7 @@ func TestRunPQTwoFailureScenario(t *testing.T) {
 		readFrac: 0.5, throttle: 50 * time.Microsecond,
 		parities: 2, failDisk: 2, fail2: 5,
 		faults: true, chaosSeed: 4242, retries: 6,
-		ioWorkers: 8, rebuildWork: 4,
+		ioWorkers: 8,
 	}
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())

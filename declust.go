@@ -402,7 +402,8 @@ func PhysUnitSize(unitSize int) int { return store.PhysUnitSize(unitSize) }
 
 // Store backend error classes: transient errors are retried by the
 // engine, media errors trigger reconstruct-and-rewrite healing, and
-// ErrUnrecoverable reports damage beyond single parity.
+// ErrUnrecoverable reports damage beyond what the store's code
+// corrects.
 var (
 	ErrStoreTransient     = store.ErrTransient
 	ErrStoreMedia         = store.ErrMedia

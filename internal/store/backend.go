@@ -58,10 +58,10 @@ var ErrTransient = errors.New("store: transient I/O error")
 // reconstructs its contents from the stripe's survivors and rewrites it.
 var ErrMedia = errors.New("store: unrecoverable media error")
 
-// ErrUnrecoverable reports genuine data loss: a stripe with two or more
-// damaged or missing units, which single-failure-correcting parity cannot
-// reconstruct.
-var ErrUnrecoverable = errors.New("store: unrecoverable stripe (multiple damaged units)")
+// ErrUnrecoverable reports genuine data loss: a stripe with more damaged
+// or missing units than its code corrects — two under single parity,
+// three under P+Q — or with damage its code cannot locate.
+var ErrUnrecoverable = errors.New("store: unrecoverable stripe (damage beyond the code)")
 
 // memDisk is an in-memory backend: one contiguous byte slice.
 type memDisk struct {

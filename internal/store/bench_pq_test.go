@@ -5,45 +5,14 @@ import (
 	"testing"
 )
 
-// latPQStore builds the paper's 21-disk, G=5 array under the P+Q
-// dual-parity code over latency-injected in-memory backends, pre-filled
-// at full speed; the returned knob arms the latency (see latStore).
-func latPQStore(b *testing.B, units int64, ioWorkers, rebuildWorkers int) (*Store, *atomic.Int64) {
-	b.Helper()
-	lay := testPQLayout(b, 21, 5)
-	const us = 4096
-	lat := new(atomic.Int64)
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = slowDisk{Disk: NewMemDisk(units, us), lat: lat}
-	}
-	s, err := New(Config{
-		Layout: lay, UnitsPerDisk: units, UnitSize: us, Disks: disks,
-		IOWorkers: ioWorkers, RebuildWorkers: rebuildWorkers,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { s.Close() })
-	buf := make([]byte, s.DataUnits()*us)
-	for n := int64(0); n < s.DataUnits(); n++ {
-		fill(buf[n*us:(n+1)*us], n, 1)
-	}
-	if err := s.WriteRange(0, buf); err != nil {
-		b.Fatal(err)
-	}
-	lat.Store(int64(benchLatency))
-	return s, lat
-}
-
 // pqWorkerVariants is workerVariants over the P+Q store.
 func pqWorkerVariants(b *testing.B, units int64, fn func(b *testing.B, s *Store, lat *atomic.Int64)) {
 	b.Run("serial", func(b *testing.B) {
-		s, lat := latPQStore(b, units, 1, 1)
+		s, lat := latStore(b, testPQLayout(b, 21, 5), units, 1)
 		fn(b, s, lat)
 	})
 	b.Run("parallel", func(b *testing.B) {
-		s, lat := latPQStore(b, units, 8, 4)
+		s, lat := latStore(b, testPQLayout(b, 21, 5), units, 8)
 		fn(b, s, lat)
 	})
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"declust/internal/layout"
 )
 
 // benchStore builds the paper's 21-disk, G=5 (α=0.2) array over
@@ -112,12 +114,12 @@ func (d slowDisk) WriteUnit(off int64, p []byte) error {
 // inject once their stores are filled.
 const benchLatency = 100 * time.Microsecond
 
-// latStore builds the paper's 21-disk, G=5 array over latency-injected
-// in-memory backends with the given worker configuration, pre-filled at
-// full speed; the returned knob arms the latency.
-func latStore(b *testing.B, units int64, ioWorkers, rebuildWorkers int) (*Store, *atomic.Int64) {
+// latStore builds a store over lay (the paper's 21-disk, G=5 array in
+// the benchmarks) on latency-injected in-memory backends with the given
+// worker count, pre-filled at full speed; the returned knob arms the
+// latency.
+func latStore(b *testing.B, lay layout.Layout, units int64, ioWorkers int) (*Store, *atomic.Int64) {
 	b.Helper()
-	lay := testLayout(b, 21, 5)
 	const us = 4096
 	lat := new(atomic.Int64)
 	disks := make([]Disk, lay.Disks())
@@ -126,7 +128,7 @@ func latStore(b *testing.B, units int64, ioWorkers, rebuildWorkers int) (*Store,
 	}
 	s, err := New(Config{
 		Layout: lay, UnitsPerDisk: units, UnitSize: us, Disks: disks,
-		IOWorkers: ioWorkers, RebuildWorkers: rebuildWorkers,
+		IOWorkers: ioWorkers,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -144,15 +146,15 @@ func latStore(b *testing.B, units int64, ioWorkers, rebuildWorkers int) (*Store,
 }
 
 // workerVariants runs fn as serial (IOWorkers=1) and parallel
-// (IOWorkers=8, RebuildWorkers=4) sub-benchmarks so the fan-out speedup
-// is a single benchdiff line apart.
+// (IOWorkers=8) sub-benchmarks so the fan-out speedup is a single
+// benchdiff line apart.
 func workerVariants(b *testing.B, units int64, fn func(b *testing.B, s *Store, lat *atomic.Int64)) {
 	b.Run("serial", func(b *testing.B) {
-		s, lat := latStore(b, units, 1, 1)
+		s, lat := latStore(b, testLayout(b, 21, 5), units, 1)
 		fn(b, s, lat)
 	})
 	b.Run("parallel", func(b *testing.B) {
-		s, lat := latStore(b, units, 8, 4)
+		s, lat := latStore(b, testLayout(b, 21, 5), units, 8)
 		fn(b, s, lat)
 	})
 }
@@ -224,8 +226,8 @@ func BenchmarkStoreRangeWrite(b *testing.B) {
 
 // BenchmarkStoreRebuild measures the full rebuild sweep's wall-clock:
 // each iteration fails disk 7 and rebuilds it onto a spare. The parallel
-// store shards the sweep across RebuildWorkers and overlaps each shard's
-// G−1 survivor reads.
+// store shards the sweep across IOWorkers and overlaps each shard's G−1
+// survivor reads.
 func BenchmarkStoreRebuild(b *testing.B) {
 	workerVariants(b, 45, func(b *testing.B, s *Store, lat *atomic.Int64) {
 		const victim = 7

@@ -62,8 +62,7 @@ func TestChaos2FDoubleFailureRebuild(t *testing.T) {
 		RetryBackoff: 100 * time.Microsecond,
 		// The parallel fast path: fanned two-erasure decodes and commits
 		// racing 12 clients plus two sharded rebuilds, all under -race.
-		IOWorkers:      8,
-		RebuildWorkers: 4,
+		IOWorkers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

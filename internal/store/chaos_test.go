@@ -85,8 +85,7 @@ func TestChaosAcknowledgedWritesSurviveFaultsAndRebuild(t *testing.T) {
 		// Run the chaos mix through the parallel fast path: fanned
 		// survivor gathers and commits racing 12 clients, a sharded
 		// rebuild, and group-committed intent marks, all under -race.
-		IOWorkers:      8,
-		RebuildWorkers: 4,
+		IOWorkers: 8,
 	})
 
 	// Contiguous ownership: worker w owns units [lo, hi) and is the only

@@ -179,7 +179,6 @@ func TestConcurrentRangeWritersWithRebuild(t *testing.T) {
 		UnitSize:     512,
 		// Fan range-op stripe jobs and a sharded rebuild under -race.
 		IOWorkers:       8,
-		RebuildWorkers:  4,
 		RebuildThrottle: 100 * time.Microsecond,
 	})
 	if err != nil {

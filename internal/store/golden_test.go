@@ -44,7 +44,7 @@ func goldenLifecycle(t *testing.T, lay layout.Layout) string {
 	}
 	s, err := New(Config{
 		Layout: lay, UnitsPerDisk: units, UnitSize: unitSize, Disks: disks,
-		IOWorkers: 1, RebuildWorkers: 1,
+		IOWorkers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,8 +40,8 @@ func (s *Store) retryDelay(n int) time.Duration {
 
 // scoreDiskError charges one persistent-error point against disk dn and
 // auto-fails it once the threshold is crossed. Failing is best-effort: a
-// store that is already degraded cannot lose a second disk, so the error
-// keeps surfacing to callers instead.
+// store with as many failed disks as its code corrects cannot lose
+// another, so the error keeps surfacing to callers instead.
 func (s *Store) scoreDiskError(dn int) {
 	if dn < 0 || dn >= len(s.diskErrs) {
 		return

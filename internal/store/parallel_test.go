@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -126,10 +128,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 			for _, tc := range testCodes {
 				t.Run(tc.name, func(t *testing.T) {
 					lay := tc.lay(t, 7, 4)
-					mk := func(io, rw int) *Store {
+					mk := func(io int) *Store {
 						s, err := New(Config{
 							Layout: lay, UnitsPerDisk: 48, UnitSize: 512,
-							IOWorkers: io, RebuildWorkers: rw,
+							IOWorkers: io,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -137,8 +139,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 						t.Cleanup(func() { s.Close() })
 						return s
 					}
-					serial := mk(1, 1)
-					parallel := mk(8, 4)
+					serial := mk(1)
+					parallel := mk(8)
 					rng := rand.New(rand.NewSource(seed))
 
 					driveTwin(t, rng, serial, parallel, 200)
@@ -372,8 +374,8 @@ func TestCloseAggregatesBackendErrors(t *testing.T) {
 	}
 }
 
-// TestWorkerConfigValidation pins the IOWorkers/RebuildWorkers bounds and
-// defaulting rules.
+// TestWorkerConfigValidation pins the IOWorkers bounds and the pool it
+// sizes.
 func TestWorkerConfigValidation(t *testing.T) {
 	lay := testLayout(t, 7, 4)
 	base := func() Config { return Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512} }
@@ -384,8 +386,6 @@ func TestWorkerConfigValidation(t *testing.T) {
 	}{
 		{"negative IOWorkers", func(c *Config) { c.IOWorkers = -1 }},
 		{"huge IOWorkers", func(c *Config) { c.IOWorkers = 2048 }},
-		{"negative RebuildWorkers", func(c *Config) { c.RebuildWorkers = -3 }},
-		{"huge RebuildWorkers", func(c *Config) { c.RebuildWorkers = 4096 }},
 	} {
 		cfg := base()
 		tc.mut(&cfg)
@@ -399,9 +399,8 @@ func TestWorkerConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.ioWorkers != 6 || s.rebuildWorkers != 6 {
-		t.Fatalf("IOWorkers=6 gave (io=%d, rebuild=%d), want RebuildWorkers to default to IOWorkers",
-			s.ioWorkers, s.rebuildWorkers)
+	if s.ioWorkers != 6 {
+		t.Fatalf("IOWorkers=6 gave io=%d", s.ioWorkers)
 	}
 	if got := s.pool.free.Load(); got != 5 {
 		t.Fatalf("pool holds %d helper tokens, want IOWorkers-1 = 5", got)
@@ -464,5 +463,75 @@ func TestFanOutParallelFirstErrorWins(t *testing.T) {
 		if !errors.Is(err, errLow) {
 			t.Fatalf("round %d: fanOut = %v, want lowest-indexed error %v", round, err, errLow)
 		}
+	}
+}
+
+// TestSweepContract pins the whole-array sweep: with no error every index
+// is visited exactly once, whatever the shard count (including fewer
+// indexes than shards); with errors at two indexes the lower one is
+// returned and the other shards stop.
+func TestSweepContract(t *testing.T) {
+	errLow, errHigh := errors.New("low"), errors.New("high")
+	for _, tc := range []struct {
+		shards int
+		n      int64
+		lo, hi int64 // the failing indexes; -1 for none
+	}{
+		{1, 50, -1, -1},
+		{2, 50, -1, -1},
+		{7, 50, -1, -1},
+		{7, 3, -1, -1},
+		{2, 0, -1, -1},
+		{1, 50, 10, 30},
+		{2, 400, 0, 200},
+		{7, 1400, 0, 1200},
+	} {
+		t.Run(fmt.Sprintf("shards=%d/n=%d/errs=%d,%d", tc.shards, tc.n, tc.lo, tc.hi), func(t *testing.T) {
+			s, err := New(Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			visits := make([]atomic.Int32, tc.n)
+			var hiFailed atomic.Bool
+			err = s.sweep(tc.n, 0, func(i int64) error {
+				visits[i].Add(1)
+				switch i {
+				case tc.hi:
+					hiFailed.Store(true)
+					return errHigh
+				case tc.lo:
+					// With the high error in another shard, fail only after
+					// it has stopped the sweep: the lower index still wins.
+					for tc.shards > 1 && !hiFailed.Load() {
+						runtime.Gosched()
+					}
+					time.Sleep(time.Millisecond)
+					return errLow
+				}
+				time.Sleep(100 * time.Microsecond)
+				return nil
+			})
+			var seen int64
+			for i := range visits {
+				v := visits[i].Load()
+				seen += int64(v)
+				if v > 1 || (tc.lo < 0 && v != 1) {
+					t.Fatalf("index %d visited %d times", i, v)
+				}
+			}
+			if tc.lo < 0 {
+				if err != nil {
+					t.Fatalf("sweep = %v, want nil", err)
+				}
+				return
+			}
+			if !errors.Is(err, errLow) {
+				t.Fatalf("sweep = %v, want the lower-indexed error %v", err, errLow)
+			}
+			if seen > tc.n/2 {
+				t.Fatalf("sweep visited %d of %d indexes after the errors; the shards did not stop", seen, tc.n)
+			}
+		})
 	}
 }

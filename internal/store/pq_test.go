@@ -315,7 +315,7 @@ func TestPQConcurrentDoubleFailureRebuild(t *testing.T) {
 	lay := testPQLayout(t, 7, 4)
 	s, err := New(Config{
 		Layout: lay, UnitsPerDisk: 64, UnitSize: 512,
-		IOWorkers: 8, RebuildWorkers: 4,
+		IOWorkers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,22 +2,10 @@ package store
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"declust/internal/layout"
 )
-
-// checkRange validates a multi-unit request and returns its unit count.
-func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
-	if len(buf) == 0 || len(buf)%s.unitSize != 0 {
-		return 0, fmt.Errorf("store: range buffer of %d bytes is not a positive multiple of the %d-byte unit size",
-			len(buf), s.unitSize)
-	}
-	n := int64(len(buf) / s.unitSize)
-	if start < 0 || start+n > s.dataUnits {
-		return 0, fmt.Errorf("store: units [%d,%d) out of range [0,%d)", start, start+n, s.dataUnits)
-	}
-	return n, nil
-}
 
 // rangeScratch holds one range-write stripe job's reusable slices,
 // recycled through Store.scratch so concurrent jobs don't allocate.
@@ -26,57 +14,62 @@ type rangeScratch struct {
 	datas [][]byte
 }
 
-// span returns the intersection of stripe's data units with the request
-// [start, start+n), as a logical-unit interval [lo, hi).
-func (s *Store) span(stripe, start, n, perStripe int64) (lo, hi int64) {
-	lo = stripe * perStripe
-	if lo < start {
-		lo = start
-	}
-	hi = (stripe + 1) * perStripe
-	if hi > start+n {
-		hi = start + n
-	}
-	return lo, hi
+// ReadRange reads the logical data units [start, start+len(dst)/UnitSize)
+// into dst, taking each stripe's lock once for all of its units.
+func (s *Store) ReadRange(start int64, dst []byte) error {
+	return s.rangeOp(start, dst, &s.reads, s.readStripeSpan)
 }
 
-// ReadRange reads the logical data units [start, start+len(dst)/UnitSize)
-// into dst, taking each stripe's lock once for all of its units. Each
-// touched stripe is an independent job — its units land in a disjoint
-// window of dst — so multi-stripe ranges fan out across idle I/O workers,
-// with the first error (lowest stripe) cancelling unstarted jobs.
-func (s *Store) ReadRange(start int64, dst []byte) error {
-	n, err := s.checkRange(start, dst)
-	if err != nil {
-		return err
+// WriteRange writes src over the logical data units starting at start,
+// one parity update per touched stripe. A segment covering a whole stripe
+// uses the large-write optimization (parity from the new contents, no
+// pre-reads); partial segments read-modify-write.
+func (s *Store) WriteRange(start int64, src []byte) error {
+	return s.rangeOp(start, src, &s.writes, s.writeStripeSpan)
+}
+
+// rangeOp is the range driver: it checks the request, splits it by
+// stripe, and runs job once per touched stripe over that stripe's units
+// [lo, hi) of the request and their window of buf. Each stripe is an
+// independent job — its window is disjoint and it takes only its own
+// stripe's lock — so multi-stripe ranges
+// fan out across idle I/O workers, with the first error (lowest stripe)
+// cancelling unstarted jobs. A request that completes adds its unit count
+// to done.
+func (s *Store) rangeOp(start int64, buf []byte, done *atomic.Int64, job func(stripe, lo, hi int64, buf []byte) error) error {
+	if len(buf) == 0 || len(buf)%s.unitSize != 0 {
+		return fmt.Errorf("store: range buffer of %d bytes is not a positive multiple of the %d-byte unit size",
+			len(buf), s.unitSize)
 	}
-	perStripe := s.dataPerStripe
-	first := start / perStripe
-	segs := int((start+n-1)/perStripe - first + 1)
+	n := int64(len(buf) / s.unitSize)
+	if start < 0 || start+n > s.dataUnits {
+		return fmt.Errorf("store: units [%d,%d) out of range [0,%d)", start, start+n, s.dataUnits)
+	}
+	per, us := s.dataPerStripe, int64(s.unitSize)
+	first := start / per
+	segs := int((start+n-1)/per - first + 1)
+	var err error
 	if segs == 1 {
-		if err := s.readStripeSpan(first, start, start, start+n, dst); err != nil {
-			return err
-		}
-		s.reads.Add(n)
-		return nil
+		err = job(first, start, start+n, buf)
+	} else {
+		err = s.fanOut(segs, func(i int) error {
+			stripe := first + int64(i)
+			lo, hi := max(stripe*per, start), min((stripe+1)*per, start+n)
+			return job(stripe, lo, hi, buf[(lo-start)*us:(hi-start)*us])
+		})
 	}
-	err = s.fanOut(segs, func(i int) error {
-		stripe := first + int64(i)
-		lo, hi := s.span(stripe, start, n, perStripe)
-		return s.readStripeSpan(stripe, start, lo, hi, dst)
-	})
 	if err != nil {
 		return err
 	}
-	s.reads.Add(n)
+	done.Add(n)
 	return nil
 }
 
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe —
-// into dst, whose first byte corresponds to logical unit start. Units are
+// into dst, whose first byte corresponds to unit lo. Units are
 // read under the stripe's read lock; a damaged unit is repaired under the
 // write lock and the sweep resumes after it.
-func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
+func (s *Store) readStripeSpan(stripe, lo, hi int64, dst []byte) error {
 	us := int64(s.unitSize)
 	for u := lo; u < hi; {
 		healU := int64(-1)
@@ -85,14 +78,14 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 		s.locks.rlock(stripe)
 		for ; u < hi && err == nil; u++ {
 			loc := s.mapper.Loc(u)
-			err = s.readLocked(stripe, loc, dst[(u-start)*us:(u-start+1)*us])
+			err = s.readLocked(stripe, loc, dst[(u-lo)*us:(u-lo+1)*us])
 			if needsHeal(err) {
 				healU, healLoc = u, loc
 			}
 		}
 		s.locks.runlock(stripe)
 		if healU >= 0 {
-			if err = s.healRead(stripe, healLoc, dst[(healU-start)*us:(healU-start+1)*us]); err != nil {
+			if err = s.healRead(stripe, healLoc, dst[(healU-lo)*us:(healU-lo+1)*us]); err != nil {
 				return err
 			}
 			u = healU + 1
@@ -105,50 +98,17 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	return nil
 }
 
-// WriteRange writes src over the logical data units starting at start,
-// one parity update per touched stripe. A segment covering a whole stripe
-// uses the large-write optimization (parity from the new contents, no
-// pre-reads); partial segments read-modify-write. Stripe jobs are
-// independent — each takes only its own stripe's lock — so multi-stripe
-// ranges fan out across idle I/O workers.
-func (s *Store) WriteRange(start int64, src []byte) error {
-	n, err := s.checkRange(start, src)
-	if err != nil {
-		return err
-	}
-	perStripe := s.dataPerStripe
-	first := start / perStripe
-	segs := int((start+n-1)/perStripe - first + 1)
-	if segs == 1 {
-		if err := s.writeStripeSpan(first, start, start, start+n, src); err != nil {
-			return err
-		}
-		s.writes.Add(n)
-		return nil
-	}
-	err = s.fanOut(segs, func(i int) error {
-		stripe := first + int64(i)
-		lo, hi := s.span(stripe, start, n, perStripe)
-		return s.writeStripeSpan(stripe, start, lo, hi, src)
-	})
-	if err != nil {
-		return err
-	}
-	s.writes.Add(n)
-	return nil
-}
-
 // writeStripeSpan commits the units [lo, hi) — all belonging to stripe —
-// from src, whose first byte corresponds to logical unit start, as one
+// from src, whose first byte corresponds to unit lo, as one
 // parity update under the stripe's write lock.
-func (s *Store) writeStripeSpan(stripe, start, lo, hi int64, src []byte) error {
+func (s *Store) writeStripeSpan(stripe, lo, hi int64, src []byte) error {
 	sc := s.scratch.Get().(*rangeScratch)
 	defer s.scratch.Put(sc)
 	locs, datas := sc.locs[:0], sc.datas[:0]
 	us := int64(s.unitSize)
 	for v := lo; v < hi; v++ {
 		locs = append(locs, s.mapper.Loc(v))
-		datas = append(datas, src[(v-start)*us:(v-start+1)*us])
+		datas = append(datas, src[(v-lo)*us:(v-lo+1)*us])
 	}
 	sc.locs, sc.datas = locs, datas
 	s.locks.lock(stripe)

@@ -14,18 +14,27 @@ import (
 	"declust/internal/layout"
 )
 
-// The kill-during-write torture test: a child process (this test binary
-// re-executed) opens a file-backed store with a file intent log, settles
-// every unit at version 1, syncs, then rewrites units to version 2 in a
-// loop — and the parent SIGKILLs it mid-stream. The reopened store must
-// come back parity-consistent with every unit reading as exactly version
-// 1 or version 2.
+// The kill-during-write torture test, once per code: a child process
+// (this test binary re-executed) opens a file-backed store with a file
+// intent log, settles every unit at version 1, syncs, then rewrites units
+// to version 2 in a loop — and the parent SIGKILLs it mid-stream. The
+// reopened store must come back parity-consistent with every unit reading
+// as exactly version 1 or version 2.
 
-const crashChildEnv = "STORE_CRASH_CHILD_DIR"
+const (
+	crashChildEnv = "STORE_CRASH_CHILD_DIR"
+	crashCodeEnv  = "STORE_CRASH_CHILD_CODE" // a testCodes name
+)
 
-func crashGeometry(t testing.TB) (layout.Layout, int64) {
-	lay := testLayout(t, 5, 5)
-	return lay, layout.UsableUnitsPerDisk(lay, 40)
+func crashGeometry(t testing.TB, codeName string) (layout.Layout, int64) {
+	for _, tc := range testCodes {
+		if tc.name == codeName {
+			lay := tc.lay(t, 5, 5)
+			return lay, layout.UsableUnitsPerDisk(lay, 40)
+		}
+	}
+	t.Fatalf("unknown code %q", codeName)
+	return nil, 0
 }
 
 func openCrashStore(dir string, lay layout.Layout, usable int64) (*Store, error) {
@@ -55,7 +64,7 @@ func TestCrashChildProcess(t *testing.T) {
 	if dir == "" {
 		t.Skip("child process of TestCrashDuringWriteRecovers")
 	}
-	lay, usable := crashGeometry(t)
+	lay, usable := crashGeometry(t, os.Getenv(crashCodeEnv))
 	s, err := openCrashStore(dir, lay, usable)
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +90,15 @@ func TestCrashDuringWriteRecovers(t *testing.T) {
 	if os.Getenv(crashChildEnv) != "" {
 		t.Skip("already the child")
 	}
+	for _, tc := range testCodes {
+		t.Run(tc.name, func(t *testing.T) { crashAndRecover(t, tc.name) })
+	}
+}
+
+func crashAndRecover(t *testing.T, codeName string) {
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run=TestCrashChildProcess$", "-test.v")
-	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
+	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir, crashCodeEnv+"="+codeName)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +141,7 @@ func TestCrashDuringWriteRecovers(t *testing.T) {
 	}
 	cmd.Wait()
 
-	lay, usable := crashGeometry(t)
+	lay, usable := crashGeometry(t, codeName)
 	s, err := openCrashStore(dir, lay, usable)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)

@@ -3,9 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"declust/internal/layout"
 )
@@ -25,7 +23,7 @@ type stripeFix int
 
 const (
 	fixNone   stripeFix = iota // stripe verified clean
-	fixUnit                    // one damaged unit reconstructed and rewritten
+	fixUnit                    // damaged units reconstructed and rewritten
 	fixParity                  // parity recomputed from data
 )
 
@@ -33,7 +31,12 @@ const (
 // before the store serves traffic). No unit of the stripe may be lost.
 // Damage within the code's correction power — one unit under single
 // parity, two under P+Q — is repaired in place from the syndromes the
-// verifying read already summed; anything beyond is unrecoverable.
+// verifying read already summed, and a parity whose equation is off over
+// the repaired data is recomputed from data (the lost-write signature,
+// or a crash between data and parity commits). A damaged data unit beside
+// a parity equation the solve did not use, and which does not balance,
+// is one more error than the code can locate: nothing is written and the
+// stripe is unrecoverable, as is damage past the correction power.
 func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	syn, damaged, err := s.syndromes(st, stripe)
 	defer s.putBufs(syn)
@@ -51,33 +54,55 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 		}
 	}
 
-	if len(damaged) > 0 {
-		// The damaged units are the erasures, and each parity's syndrome
-		// over the valid units is exactly what the decode starts from.
-		var ords [maxParities]int
-		for e, d := range damaged {
-			ords[e] = d.ord
+	// The damaged units are the erasures, and each parity's syndrome over
+	// the valid units is exactly what the decode starts from. A parity
+	// the solve leaves unused then gets the solved data's terms, so its
+	// accumulator is its syndrome over the whole repaired stripe.
+	var ords [maxParities]int
+	for e, d := range damaged {
+		ords[e] = d.ord
+	}
+	erased := ords[:len(damaged)]
+	at := s.code.plan(erased)
+	s.code.solve(&acc, erased, at)
+	var used [maxParities]bool
+	for e := range erased {
+		used[at[e]] = true
+	}
+	for i, a := range acc {
+		if a == nil || used[i] {
+			continue
 		}
-		at := s.code.plan(ords[:len(damaged)])
-		s.code.solve(&acc, ords[:len(damaged)], at)
-		for e, d := range damaged {
-			s.countHeal(d.err)
-			s.scoreDiskError(d.loc.Disk)
-			if err := s.writeDataUnit(st.disk(d.loc), d.loc.Disk, d.loc.Offset, acc[at[e]]); err != nil {
-				return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", d.loc, err)
+		dataLost := false
+		for e, o := range erased {
+			if o >= 0 {
+				s.code.fold(i, o, a, acc[at[e]])
+				dataLost = true
 			}
-			s.healedUnits.Add(1)
 		}
-		return fixUnit, nil
+		if dataLost && !isZero(a) {
+			return fixNone, fmt.Errorf("%w: stripe %d: %v is damaged and parity %c does not balance over its repair",
+				ErrUnrecoverable, stripe, damaged[0].loc, "PQ"[i])
+		}
 	}
 
-	// All units individually valid: every parity equation must balance.
-	// One that does not — a write was lost somewhere, or a crash split a
-	// data/parity commit — gets its parity recomputed from data (the
-	// syndrome XORed into the stored parity), trusting data over parity.
 	fix := fixNone
+	for e, d := range damaged {
+		s.countHeal(d.err)
+		s.scoreDiskError(d.loc.Disk)
+		if err := s.writeDataUnit(st.disk(d.loc), d.loc.Disk, d.loc.Offset, acc[at[e]]); err != nil {
+			return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", d.loc, err)
+		}
+		s.healedUnits.Add(1)
+		fix = fixUnit
+	}
+
+	// Every data unit is valid now: a parity whose equation does not
+	// balance — a write was lost somewhere, or a crash split a data/parity
+	// commit — gets recomputed from data (the syndrome XORed into the
+	// stored parity), trusting data over parity.
 	for i, a := range acc {
-		if a == nil || isZero(a) {
+		if a == nil || used[i] || isZero(a) {
 			continue
 		}
 		p := layout.ParityLocOf(s.lay, stripe, i)
@@ -93,7 +118,9 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 		if err != nil {
 			return fixNone, err
 		}
-		fix = fixParity
+		if fix == fixNone {
+			fix = fixParity
+		}
 	}
 	return fix, nil
 }
@@ -117,9 +144,6 @@ func (s *Store) syndromes(st *diskState, stripe int64) (syn [maxParities]*[]byte
 	damaged, err = s.gatherSerial(st, items, acc)
 	return syn, damaged, err
 }
-
-// isUnrecoverable reports data loss the code cannot repair.
-func isUnrecoverable(err error) bool { return errors.Is(err, ErrUnrecoverable) }
 
 // stripeHasLost reports whether any unit of stripe is lost in st.
 func (s *Store) stripeHasLost(st *diskState, stripe int64) bool {
@@ -149,29 +173,21 @@ type ScrubResult struct {
 	// interrupted-write signature — repaired by recomputing parity from
 	// data.
 	ParityRewrites int64
-	// Unrecoverable counts stripes with two or more damaged units, which
-	// single-failure parity cannot repair. They are left as found.
+	// Unrecoverable counts stripes whose damage the code cannot repair —
+	// more damaged units than it corrects, or a damaged data unit beside
+	// a parity equation that does not balance over its repair. They are
+	// left as found.
 	Unrecoverable int64
-}
-
-// scrubShard is one worker's slice of a Scrub sweep.
-type scrubShard struct {
-	res     ScrubResult
-	unrec   error // first unrecoverable-stripe error in this shard
-	hardErr error // hard error that stopped the sweep, nil if none
-	hardAt  int64 // stripe the hard error struck
 }
 
 // Scrub sweeps every stripe, verifying checksums and parity and repairing
 // damage in place, stripe by stripe under the stripe locks, while user
-// operations continue — the background patrol read. The sweep is split
-// into Config.RebuildWorkers contiguous shards scrubbed concurrently
-// (each stripe still verified under its own lock); Config.ScrubThrottle
-// paces the sweep in aggregate — each worker sleeps workers× the
-// configured pause, so the knob means the same wall-clock sweep rate at
-// any worker count. Stripes with a lost unit are skipped. Unrecoverable
-// stripes are counted, left untouched, and reported in the returned
-// error; all other stripes are still verified. A clean sweep (no
+// operations continue — the background patrol read. It runs on the
+// store's sweep (IOWorkers concurrent shards, each stripe verified under
+// its own lock); Config.ScrubThrottle paces it at the same aggregate rate
+// at any worker count. Stripes with a lost unit are skipped.
+// Unrecoverable stripes are counted, left untouched, and reported in the
+// returned error; all other stripes are still verified. A clean sweep (no
 // unrecoverable damage) clears the engine's parity-doubt latch, letting
 // Sync resume clearing intent-log regions after a mid-stripe write
 // failure. Only one Scrub runs at a time.
@@ -181,87 +197,54 @@ func (s *Store) Scrub() (ScrubResult, error) {
 	}
 	defer s.scrubbing.Store(false)
 
-	workers := s.rebuildWorkers
-	if int64(workers) > s.numStripes {
-		workers = int(s.numStripes)
-	}
-	shards := make([]scrubShard, workers)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := s.numStripes * int64(w) / int64(workers)
-		hi := s.numStripes * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(o *scrubShard, lo, hi int64) {
-			defer wg.Done()
-			for stripe := lo; stripe < hi && !stop.Load(); stripe++ {
-				s.locks.lock(stripe)
-				st := s.st.Load()
-				if s.stripeHasLost(st, stripe) {
-					o.res.Skipped++
-					s.locks.unlock(stripe)
-					continue
-				}
-				fix, err := s.resyncStripe(st, stripe)
-				s.locks.unlock(stripe)
-				switch {
-				case err == nil:
-					o.res.Stripes++
-					switch fix {
-					case fixUnit:
-						o.res.UnitRepairs++
-						s.scrubRepairs.Add(1)
-					case fixParity:
-						o.res.ParityRewrites++
-						s.scrubFixes.Add(1)
-					}
-				case isUnrecoverable(err):
-					o.res.Unrecoverable++
-					if o.unrec == nil {
-						o.unrec = err
-					}
-				default:
-					// A hard error (failed backend, exhausted retries)
-					// stops the whole sweep; verified counts still report.
-					o.hardErr = fmt.Errorf("store: scrub of stripe %d: %w", stripe, err)
-					o.hardAt = stripe
-					stop.Store(true)
-					return
-				}
-				if s.scrubThrottle > 0 {
-					time.Sleep(s.scrubThrottle * time.Duration(workers))
-				}
-			}
-		}(&shards[w], lo, hi)
-	}
-	wg.Wait()
-
-	var res ScrubResult
-	var firstErr, hardErr error
-	hardAt := int64(-1)
-	for w := range shards {
-		o := &shards[w]
-		res.Stripes += o.res.Stripes
-		res.Skipped += o.res.Skipped
-		res.UnitRepairs += o.res.UnitRepairs
-		res.ParityRewrites += o.res.ParityRewrites
-		res.Unrecoverable += o.res.Unrecoverable
-		if o.unrec != nil && firstErr == nil {
-			firstErr = o.unrec // shards ascend, so this is the lowest shard's first
+	var stripes, skipped, units, parity, unrec atomic.Int64
+	var unrecErr lowestErr
+	// A hard error (failed backend, exhausted retries) stops the whole
+	// sweep; verified counts still report.
+	hardErr := s.sweep(s.numStripes, s.scrubThrottle, func(stripe int64) error {
+		s.locks.lock(stripe)
+		defer s.locks.unlock(stripe)
+		st := s.st.Load()
+		if s.stripeHasLost(st, stripe) {
+			skipped.Add(1)
+			return nil
 		}
-		if o.hardErr != nil && (hardAt < 0 || o.hardAt < hardAt) {
-			hardErr, hardAt = o.hardErr, o.hardAt
+		fix, err := s.resyncStripe(st, stripe)
+		switch {
+		case errors.Is(err, ErrUnrecoverable):
+			unrec.Add(1)
+			unrecErr.set(stripe, err)
+			return nil
+		case err != nil:
+			return fmt.Errorf("store: scrub of stripe %d: %w", stripe, err)
 		}
+		stripes.Add(1)
+		switch fix {
+		case fixUnit:
+			units.Add(1)
+			s.scrubRepairs.Add(1)
+		case fixParity:
+			parity.Add(1)
+			s.scrubFixes.Add(1)
+		}
+		return nil
+	})
+	res := ScrubResult{
+		Stripes:        stripes.Load(),
+		Skipped:        skipped.Load(),
+		UnitRepairs:    units.Load(),
+		ParityRewrites: parity.Load(),
+		Unrecoverable:  unrec.Load(),
 	}
 	s.scrubbedStripes.Add(res.Stripes)
 	if hardErr != nil {
 		return res, hardErr
 	}
 	s.scrubs.Add(1)
-	if firstErr == nil {
+	if unrecErr.err == nil {
 		// Every reachable stripe verified clean (or was repaired): any
 		// doubt left by an earlier failed write is resolved.
 		s.parityDoubt.Store(false)
 	}
-	return res, firstErr
+	return res, unrecErr.err
 }

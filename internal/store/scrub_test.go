@@ -137,6 +137,84 @@ func TestScrubDetectsLostParityWrite(t *testing.T) {
 	}
 }
 
+// TestPQResyncChecksUnusedParity pairs a lost parity write (the parity
+// stays stale under a valid checksum) with a rotted unit in the same P+Q
+// stripe. A rotted data unit solves through one parity; when the other
+// parity does not balance over the repair, the stripe holds one more error
+// than P+Q can locate, so the scrub must write nothing, count the stripe
+// unrecoverable, and keep the parity-doubt latch. A rotted parity leaves
+// every data unit readable, so both parities are recomputed from data.
+func TestPQResyncChecksUnusedParity(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		lost      int  // parity whose write is lost
+		rotParity bool // rot parity P instead of a sibling data unit
+		unrec     bool
+	}{
+		{"lost-Q-rotted-data", 1, false, true},
+		{"lost-P-rotted-data", 0, false, true},
+		{"lost-Q-rotted-P", 1, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, fds := faultStore(t, testPQLayout(t, 7, 4), 64, 512,
+				func(int) FaultConfig { return FaultConfig{} }, Config{})
+			fillAll(t, s, 1)
+			const stripe = 1
+			n := stripe * s.dataPerStripe // first data unit of the stripe
+			fds[layout.ParityLocOf(s.lay, stripe, tc.lost).Disk].LoseNextWrite()
+			buf := make([]byte, s.UnitSize())
+			fill(buf, n, 2)
+			if err := s.WriteUnit(n, buf); err != nil {
+				t.Fatal(err)
+			}
+			victim := s.mapper.Loc(n + 1)
+			if tc.rotParity {
+				victim = layout.ParityLocOf(s.lay, stripe, 0)
+			}
+			rot(t, s, victim)
+
+			image := func() [][]byte {
+				st := s.st.Load()
+				var out [][]byte
+				for j := 0; j < s.lay.G(); j++ {
+					u := s.lay.Unit(stripe, j)
+					phys := make([]byte, s.physSize)
+					if err := st.disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, phys)
+				}
+				return out
+			}
+			before := image()
+			s.parityDoubt.Store(true)
+			res, err := s.Scrub()
+			if !tc.unrec {
+				if err != nil || res.UnitRepairs != 1 {
+					t.Fatalf("Scrub = (%+v, %v), want one unit repair", res, err)
+				}
+				if err := s.CheckParity(); err != nil {
+					t.Fatalf("CheckParity after scrub: %v", err)
+				}
+				verifyUnit(t, s, n, 2)
+				verifyUnit(t, s, n+1, 1)
+				return
+			}
+			if !errors.Is(err, ErrUnrecoverable) || res.Unrecoverable != 1 || res.UnitRepairs != 0 {
+				t.Fatalf("Scrub = (%+v, %v), want the stripe counted unrecoverable", res, err)
+			}
+			if !s.parityDoubt.Load() {
+				t.Fatal("scrub with an unrecoverable stripe cleared the parity-doubt latch")
+			}
+			for j, b := range image() {
+				if !bytes.Equal(b, before[j]) {
+					t.Fatalf("scrub rewrote position %d of the unrecoverable stripe", j)
+				}
+			}
+		})
+	}
+}
+
 func TestScrubCountsUnrecoverableStripes(t *testing.T) {
 	s := newTestStore(t, 7, 3, 64, 512)
 	fillAll(t, s, 1)

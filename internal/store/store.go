@@ -30,23 +30,17 @@ type Config struct {
 	// unit count at the physical unit size; backends reporting a
 	// Geometry are validated against the store's.
 	Disks []Disk
-	// IOWorkers bounds the store's I/O helper goroutines, the parallel
-	// fast path: multi-unit operations (degraded-read survivor gathers,
-	// parity pre-reads and commits, range operations, CheckParity) fan
-	// their independent disk accesses across up to IOWorkers−1 idle
-	// helpers plus the submitting goroutine. Helpers are acquired with a
-	// non-blocking try, so a saturated store degrades to serial issue
-	// instead of queueing. 1 disables fan-out entirely (the serial
-	// engine, bit-identical results); 0 defaults to GOMAXPROCS.
+	// IOWorkers bounds the store's I/O concurrency, the parallel fast
+	// path: multi-unit operations (degraded-read survivor gathers, parity
+	// pre-reads and commits, range operations) fan their independent disk
+	// accesses across up to IOWorkers−1 idle helpers plus the submitting
+	// goroutine, and the whole-array sweeps (Rebuild, Scrub, CheckParity,
+	// the recovery pass at open) run in IOWorkers concurrent shards.
+	// Helpers are acquired with a non-blocking try, so a saturated store
+	// degrades to serial issue instead of queueing. 1 disables fan-out
+	// and sweeps serially (the serial engine, bit-identical results); 0
+	// defaults to GOMAXPROCS.
 	IOWorkers int
-	// RebuildWorkers is how many shards Rebuild and Scrub sweep
-	// concurrently; the declustered layout spreads each shard's
-	// reconstruction reads over all surviving disks, so the sweep scales
-	// until the survivors saturate. RebuildThrottle/ScrubThrottle pacing
-	// is aggregate: each worker sleeps workers× the configured throttle,
-	// so the knob means the same wall-clock sweep rate at any worker
-	// count. 0 defaults to IOWorkers.
-	RebuildWorkers int
 	// RebuildThrottle pauses the rebuild sweep between units, trading
 	// rebuild time for user response — the paper's §9 throttling knob,
 	// and the way tests hold the rebuild window open.
@@ -223,9 +217,8 @@ type Store struct {
 	failThreshold int
 	scrubThrottle time.Duration
 
-	ioWorkers      int
-	rebuildWorkers int
-	pool           ioPool
+	ioWorkers int
+	pool      ioPool
 
 	locks lockTable
 	st    atomic.Pointer[diskState]
@@ -305,12 +298,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.IOWorkers < 1 || cfg.IOWorkers > 1024 {
 		return nil, fmt.Errorf("store: %d I/O workers outside [1,1024]", cfg.IOWorkers)
 	}
-	if cfg.RebuildWorkers == 0 {
-		cfg.RebuildWorkers = cfg.IOWorkers
-	}
-	if cfg.RebuildWorkers < 1 || cfg.RebuildWorkers > 1024 {
-		return nil, fmt.Errorf("store: %d rebuild workers outside [1,1024]", cfg.RebuildWorkers)
-	}
 	l := cfg.Layout
 	parities := layout.NumParities(l)
 	if parities < 1 || parities > 2 {
@@ -338,23 +325,22 @@ func New(cfg Config) (*Store, error) {
 		}
 	}
 	s := &Store{
-		lay:            l,
-		mapper:         layout.StripeIndexMapper{L: l},
-		code:           code{m: parities},
-		dataPerStripe:  int64(layout.DataPerStripe(l)),
-		unitSize:       cfg.UnitSize,
-		physSize:       PhysUnitSize(cfg.UnitSize),
-		unitsPerDisk:   usable,
-		numStripes:     layout.UsableStripes(l, cfg.UnitsPerDisk),
-		dataUnits:      layout.DataUnits(l, cfg.UnitsPerDisk),
-		throttle:       cfg.RebuildThrottle,
-		retries:        cfg.Retries,
-		retryBackoff:   cfg.RetryBackoff,
-		failThreshold:  cfg.FailThreshold,
-		scrubThrottle:  cfg.ScrubThrottle,
-		ioWorkers:      cfg.IOWorkers,
-		rebuildWorkers: cfg.RebuildWorkers,
-		diskErrs:       make([]atomic.Int64, c),
+		lay:           l,
+		mapper:        layout.StripeIndexMapper{L: l},
+		code:          code{m: parities},
+		dataPerStripe: int64(layout.DataPerStripe(l)),
+		unitSize:      cfg.UnitSize,
+		physSize:      PhysUnitSize(cfg.UnitSize),
+		unitsPerDisk:  usable,
+		numStripes:    layout.UsableStripes(l, cfg.UnitsPerDisk),
+		dataUnits:     layout.DataUnits(l, cfg.UnitsPerDisk),
+		throttle:      cfg.RebuildThrottle,
+		retries:       cfg.Retries,
+		retryBackoff:  cfg.RetryBackoff,
+		failThreshold: cfg.FailThreshold,
+		scrubThrottle: cfg.ScrubThrottle,
+		ioWorkers:     cfg.IOWorkers,
+		diskErrs:      make([]atomic.Int64, c),
 	}
 	s.pool.free.Store(int32(s.ioWorkers - 1))
 	s.intentCond.L = &s.intentMu
@@ -404,25 +390,27 @@ func checkGeometry(d Disk, usable int64, unitSize int) error {
 // recoverIntent is the crash-recovery pass: every stripe of every dirty
 // region is resynchronized (parity recomputed, damaged units
 // reconstructed), then the regions are cleared. Runs before the store
-// serves traffic, so no locks are contended.
+// serves traffic, so it takes no stripe locks: the sweep's shards touch
+// disjoint stripes.
 func (s *Store) recoverIntent(dirty []int64) error {
 	st := s.st.Load()
-	for _, r := range dirty {
-		lo := r * intentRegionStripes
-		hi := lo + intentRegionStripes
-		if hi > s.numStripes {
-			hi = s.numStripes
+	err := s.sweep(int64(len(dirty))*intentRegionStripes, 0, func(i int64) error {
+		stripe := dirty[i/intentRegionStripes]*intentRegionStripes + i%intentRegionStripes
+		if stripe >= s.numStripes {
+			return nil
 		}
-		for stripe := lo; stripe < hi; stripe++ {
-			fix, err := s.resyncStripe(st, stripe)
-			if err != nil {
-				return fmt.Errorf("store: intent recovery of stripe %d: %w", stripe, err)
-			}
-			s.resyncStripes.Add(1)
-			if fix != fixNone {
-				s.resyncRepairs.Add(1)
-			}
+		fix, err := s.resyncStripe(st, stripe)
+		if err != nil {
+			return fmt.Errorf("store: intent recovery of stripe %d: %w", stripe, err)
 		}
+		s.resyncStripes.Add(1)
+		if fix != fixNone {
+			s.resyncRepairs.Add(1)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// All dirty regions are consistent again: clear them with one
 	// durability barrier. A crash before the clear lands just resyncs
@@ -1028,71 +1016,39 @@ func (s *Store) Rebuild(repl Disk) error {
 	s.st.Store(&diskState{disks: st.disks, fails: fails})
 	s.admin.Unlock()
 
-	// Sweep the failed disk's offsets in RebuildWorkers contiguous shards.
-	// Two offsets of one disk always belong to different stripes (the
-	// layout places at most one unit of a stripe per disk), so shards
-	// never contend on a stripe's own lock, and the declustered layout
-	// spreads each shard's survivor reads over the whole array. Throttle
-	// pacing is aggregate: each worker sleeps workers× the configured
-	// pause, so the knob means the same sweep rate — and holds the rebuild
-	// window open just as long — at any worker count. Each unit reloads
-	// the failure snapshot under its stripe lock, so a second disk failing
-	// mid-sweep is picked up as another erasure (P+Q decodes through it)
-	// instead of being read as a live survivor.
-	workers := s.rebuildWorkers
-	if int64(workers) > s.unitsPerDisk {
-		workers = int(s.unitsPerDisk)
-	}
-	var (
-		wg      sync.WaitGroup
-		stop    atomic.Bool
-		errMu   sync.Mutex
-		swErr   error
-		swErrAt int64
-	)
-	for w := 0; w < workers; w++ {
-		lo := s.unitsPerDisk * int64(w) / int64(workers)
-		hi := s.unitsPerDisk * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			buf := s.getBuf()
-			defer s.putBuf(buf)
-			data := (*buf)[:s.unitSize]
-			for off := lo; off < hi && !stop.Load(); off++ {
-				loc := layout.Loc{Disk: target, Offset: off}
-				stripe, _ := s.lay.Locate(loc)
-				s.locks.lock(stripe)
-				var err error
-				stc := s.st.Load()
-				f := stc.slot(target)
-				if f != nil && !f.rebuilt[off] {
-					if err = s.recoverInto(stc, loc, data); err == nil {
-						if err = s.writeDataUnit(repl, target, off, data); err == nil {
-							s.markRebuilt(f, off)
-						}
-					}
-				}
-				s.locks.unlock(stripe)
-				if err != nil {
-					errMu.Lock()
-					if swErr == nil || off < swErrAt {
-						swErr = fmt.Errorf("store: rebuild of %v: %w", loc, err)
-						swErrAt = off
-					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
-				}
-				if s.throttle > 0 {
-					time.Sleep(s.throttle * time.Duration(workers))
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if swErr != nil {
-		return swErr
+	// Sweep the failed disk's offsets. Two offsets of one disk always
+	// belong to different stripes (the layout places at most one unit of a
+	// stripe per disk), so shards never contend on a stripe's own lock,
+	// and the declustered layout spreads each shard's survivor reads over
+	// the whole array. Each unit reloads the failure snapshot under its
+	// stripe lock, so a second disk failing mid-sweep is picked up as
+	// another erasure (P+Q decodes through it) instead of being read as a
+	// live survivor.
+	err := s.sweep(s.unitsPerDisk, s.throttle, func(off int64) error {
+		loc := layout.Loc{Disk: target, Offset: off}
+		stripe, _ := s.lay.Locate(loc)
+		s.locks.lock(stripe)
+		defer s.locks.unlock(stripe)
+		stc := s.st.Load()
+		f := stc.slot(target)
+		if f == nil || f.rebuilt[off] {
+			return nil
+		}
+		buf := s.getBuf()
+		defer s.putBuf(buf)
+		data := (*buf)[:s.unitSize]
+		err := s.recoverInto(stc, loc, data)
+		if err == nil {
+			err = s.writeDataUnit(repl, target, off, data)
+		}
+		if err != nil {
+			return fmt.Errorf("store: rebuild of %v: %w", loc, err)
+		}
+		s.markRebuilt(f, off)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Heal: swap the replacement into the slot and retire the failure.
@@ -1122,8 +1078,7 @@ func (s *Store) Rebuild(repl Disk) error {
 // consistency is exactly what degraded reads exercise. CheckParity reports
 // damage; Scrub repairs it.
 func (s *Store) CheckParity() error {
-	return s.fanOut(int(s.numStripes), func(i int) error {
-		stripe := int64(i)
+	return s.sweep(s.numStripes, 0, func(stripe int64) error {
 		s.locks.rlock(stripe)
 		defer s.locks.runlock(stripe)
 		st := s.st.Load()
