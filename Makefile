@@ -11,7 +11,7 @@ BENCH_PKGS ?= . ./internal/sim ./internal/store
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f nightly vet fmt-check fault-smoke perfbench-check lint cover verify clean
+.PHONY: all build test race allocs bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f nightly vet fmt-check fault-smoke perfbench-check lint cover verify clean
 
 all: build
 
@@ -29,6 +29,12 @@ RACE_OWNED = TestChaosAcknowledged|TestCrash|TestChaos2F
 
 race:
 	$(GO) test -race -count=1 -skip '$(RACE_OWNED)' ./...
+
+# The allocation pin: TestUnitOpAllocs is built only without -race (the
+# race detector's sync.Pool drops buffers at random), so the race pass
+# never runs it.
+allocs:
+	$(GO) test -count=1 -run TestUnitOpAllocs ./internal/store/
 
 # One iteration of every benchmark — exercises each paper figure/table
 # driver and the instrumentation overhead pair without the full timing run.
@@ -119,10 +125,10 @@ cover:
 
 # The full pre-merge gate: formatting, static checks, build, one race pass
 # over every test (the chaos and crash tests in their own targets), the
-# fault-injection lifecycle smoke, the storage chaos invariants (single-
+# allocation pin, the fault-injection lifecycle smoke, the storage chaos invariants (single-
 # and double-failure), the benchmark module's vet and tests, and a
 # benchmark smoke pass.
-verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f perfbench-check bench-smoke
+verify: fmt-check vet build race allocs fault-smoke store-chaos store-chaos-2f perfbench-check bench-smoke
 	@echo "verify: OK"
 
 clean:

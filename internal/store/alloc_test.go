@@ -8,16 +8,17 @@ package store
 import (
 	"fmt"
 	"testing"
-
-	"declust/internal/layout"
 )
 
 // TestUnitOpAllocs pins the allocations of one unit operation on the
 // paper's array (C=21, G=5, 4 KiB units) under each code, serial and
 // parallel, healthy and degraded. The degraded write is a
-// read-modify-write in a stripe that has lost another unit.
+// read-modify-write in a stripe that has lost another unit; the folded
+// write and the lost read then target that lost unit itself. Every op is
+// allocation-free except the lost read, whose survivor gather builds its
+// item list (and, with a helper, the fan-out's closure and goroutine).
 func TestUnitOpAllocs(t *testing.T) {
-	const writeCeiling, readCeiling = 2, 1
+	lostReadCeiling := map[int]float64{1: 1, 2: 7}
 	for _, tc := range testCodes {
 		for _, io := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/io=%d", tc.name, io), func(t *testing.T) {
@@ -27,9 +28,8 @@ func TestUnitOpAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				const n = 5
 				buf := make([]byte, s.UnitSize())
-				check := func(what string, ceiling float64, op func(int64, []byte) error) {
+				check := func(what string, n int64, ceiling float64, op func(int64, []byte) error) {
 					t.Helper()
 					var opErr error
 					allocs := testing.AllocsPerRun(100, func() {
@@ -44,21 +44,29 @@ func TestUnitOpAllocs(t *testing.T) {
 						t.Errorf("%s: %.0f allocs, ceiling %.0f", what, allocs, ceiling)
 					}
 				}
-				check("healthy WriteUnit", writeCeiling, s.WriteUnit)
-				check("healthy ReadUnit", readCeiling, s.ReadUnit)
+				const n = 5
+				check("healthy WriteUnit", n, 0, s.WriteUnit)
+				check("healthy ReadUnit", n, 0, s.ReadUnit)
 
 				loc := s.mapper.Loc(n)
 				stripe, _ := lay.Locate(loc)
-				for j := 0; j < lay.G(); j++ {
-					if u := lay.Unit(stripe, j); u != loc && !layout.IsParityPos(lay, stripe, j) {
+				lost := int64(-1)
+				for m := stripe * s.dataPerStripe; m < (stripe+1)*s.dataPerStripe; m++ {
+					if u := s.mapper.Loc(m); u != loc {
 						if err := s.Fail(u.Disk); err != nil {
 							t.Fatal(err)
 						}
+						lost = m
 						break
 					}
 				}
-				check("degraded WriteUnit", writeCeiling, s.WriteUnit)
-				check("degraded ReadUnit", readCeiling, s.ReadUnit)
+				if lost < 0 {
+					t.Fatal("no other data unit in the stripe")
+				}
+				check("degraded WriteUnit", n, 0, s.WriteUnit)
+				check("degraded ReadUnit", n, 0, s.ReadUnit)
+				check("folded WriteUnit", lost, 0, s.WriteUnit)
+				check("lost ReadUnit", lost, lostReadCeiling[io], s.ReadUnit)
 			})
 		}
 	}

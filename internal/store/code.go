@@ -97,9 +97,14 @@ func dataErasures(ords []int) [maxParities]int {
 // solve finishes a decode in place. On entry, for the assignment at =
 // plan(ords), each accumulator acc[at[e]] holds its parity's syndrome over
 // the stripe's readable units: the stored parity, if it was read, XOR the
-// parity's terms for every readable data unit. On return acc[at[e]] holds
-// erased unit e's contents.
-func (c code) solve(acc *[maxParities][]byte, ords []int, at [maxParities]int) {
+// parity's terms for every readable data unit. Any other non-nil
+// accumulator holds the same sum for a parity the erasures leave unused.
+// On return acc[at[e]] holds erased unit e's contents, and an unused
+// parity's accumulator its syndrome over the whole repaired stripe. solve
+// returns the first unused parity whose syndrome is not zero although a
+// data unit was solved — one more error than the code can locate, so the
+// solved data cannot be trusted — or −1.
+func (c code) solve(acc *[maxParities][]byte, ords []int, at [maxParities]int) int {
 	xs := dataErasures(ords)
 	switch {
 	case xs[1] >= 0:
@@ -118,19 +123,31 @@ func (c code) solve(acc *[maxParities][]byte, ords []int, at [maxParities]int) {
 		if inv := gf256.Exp(-at[e] * ords[e]); inv != 1 {
 			gf256.MulSlice(acc[at[e]], acc[at[e]], inv)
 		}
+	default:
+		return -1 // only parities erased: every data unit was read whole
 	}
-	// An erased parity's accumulator summed the readable data; add the
-	// solved data units' terms.
+	// Every accumulator no data unit solved into — an erased parity's and
+	// an unused parity's — summed only the readable data; add the solved
+	// data units' terms.
+	var used, solved [maxParities]bool
 	for e, o := range ords {
-		if o >= 0 {
+		used[at[e]], solved[at[e]] = true, o >= 0
+	}
+	bad := -1
+	for i, a := range acc {
+		if a == nil || solved[i] {
 			continue
 		}
 		for _, x := range xs {
 			if x >= 0 {
-				c.fold(at[e], ords[x], acc[at[e]], acc[at[x]])
+				c.fold(i, ords[x], a, acc[at[x]])
 			}
 		}
+		if bad < 0 && !used[i] && !isZero(a) {
+			bad = i
+		}
 	}
+	return bad
 }
 
 // erasure is one stripe unit a decode computes.
@@ -192,20 +209,40 @@ func (s *Store) lostErasures(st *diskState, stripe int64, want layout.Loc, wantO
 
 // decode computes every listed erasure's contents into its out buffer,
 // reading only the units the erasure pattern needs: the stripe's other
-// data units and the parities plan assigns. The reads go through gather,
-// so damaged units are returned (in item order) for the caller to absorb
-// or escalate; the outputs are then meaningless. Caller holds at least the
-// stripe's read lock, and every lost unit of the stripe is in list.
+// data units and the parities plan assigns. A decode that heals a data
+// unit (an erasure flagged heal) also reads each parity the solve leaves
+// unused, into an accumulator of its own, and requires it to balance
+// over the repair — the check resyncStripe makes — because the healed
+// contents are about to be written back: a parity that does not balance
+// is ErrUnrecoverable. The reads go through gather, so damaged units are
+// returned (in item order) for the caller to absorb or escalate; the
+// outputs are then meaningless. Caller holds at least the stripe's read
+// lock, and every lost unit of the stripe is in list.
 func (s *Store) decode(st *diskState, stripe int64, list []erasure) ([]damagedUnit, error) {
 	var ords [maxParities]int
+	healed := -1 // a damaged data unit the decode heals
 	for e := range list {
 		ords[e] = list[e].ord
+		if list[e].heal && list[e].ord >= 0 {
+			healed = e
+		}
 	}
 	at := s.code.plan(ords[:len(list)])
 	var acc [maxParities][]byte
 	for e := range list {
 		zeroBytes(list[e].out)
 		acc[at[e]] = list[e].out
+	}
+	var spare [maxParities]*[]byte
+	if healed >= 0 {
+		for i := 0; i < s.code.m; i++ {
+			if acc[i] == nil {
+				spare[i] = s.getBuf()
+				acc[i] = (*spare[i])[:s.unitSize]
+				zeroBytes(acc[i])
+			}
+		}
+		defer s.putBufs(spare)
 	}
 	g := s.lay.G()
 	items := make([]gatherItem, 0, g-len(list))
@@ -224,6 +261,9 @@ func (s *Store) decode(st *diskState, stripe int64, list []erasure) ([]damagedUn
 	if err != nil || len(damaged) > 0 {
 		return damaged, err
 	}
-	s.code.solve(&acc, ords[:len(list)], at)
+	if i := s.code.solve(&acc, ords[:len(list)], at); i >= 0 {
+		return nil, fmt.Errorf("%w: stripe %d: parity %c does not balance over the repair of %v",
+			ErrUnrecoverable, stripe, "PQ"[i], list[healed].loc)
+	}
 	return nil, nil
 }

@@ -38,7 +38,12 @@
 // (ErrTransient) retry with exponential backoff; damage — media errors
 // (ErrMedia) and persistent checksum mismatches — triggers the
 // self-healing read: the unit is reconstructed from its stripe's
-// survivors and rewritten in place. Persistent errors score against the
+// survivors and rewritten in place. Every single-unit read in the
+// engine (user reads, parity-update pre-reads, rebuild) takes the same
+// path, and a heal first checks that any parity its decode left unused
+// balances over the repair; one that does not means more damage than
+// the code can locate, and the read fails ErrUnrecoverable with nothing
+// rewritten. Persistent errors score against the
 // disk and Config.FailThreshold can auto-Fail a dying device. Parity is
 // made crash-consistent by a region-granular write-intent log: a stripe's
 // region is durably marked dirty before its first write and cleared

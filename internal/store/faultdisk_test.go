@@ -218,8 +218,8 @@ func TestAutoFailThreshold(t *testing.T) {
 	if got := s.Mode(); got != Degraded {
 		t.Fatalf("Mode = %v after threshold, want Degraded", got)
 	}
-	if got := s.FailedDisk(); got != 4 {
-		t.Fatalf("FailedDisk = %d, want 4", got)
+	if got := s.FailedDisks(); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("FailedDisks = %v, want [4]", got)
 	}
 	if s.Stats().AutoFails != 1 {
 		t.Fatalf("AutoFails = %d, want 1", s.Stats().AutoFails)

@@ -29,6 +29,9 @@ import (
 // damaged but potentially reconstructable (media error or checksum
 // mismatch), as opposed to failed (transient storm, engine bug).
 func needsHeal(err error) bool {
+	if err == nil {
+		return false
+	}
 	var bs *badSumError
 	return errors.Is(err, ErrMedia) || errors.As(err, &bs)
 }
@@ -224,13 +227,41 @@ func (s *Store) gatherParallel(st *diskState, items []gatherItem, acc [maxPariti
 	return damaged, nil
 }
 
-// recoverInto computes the contents of unit u — lost or damaged — from the
-// rest of its stripe, into out, under the stripe's WRITE lock. u and every
-// lost unit of the stripe are erasures; a damaged unit the decode runs
-// into is absorbed as one more erasure, and healed in place, while the
-// code's budget of m erasures allows. Past the budget the stripe is
-// unrecoverable — under single parity, any lost or damaged sibling.
-func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
+// readUnit reads unit u's data into out (one logical unit): the engine's
+// one single-unit read. A readable unit is read directly; a lost unit is
+// decoded from its stripe's survivors, and so is a damaged one (media
+// error or persistent checksum mismatch) when heal is set. heal says the
+// caller holds the stripe's WRITE lock, so damage is repaired in place
+// (recoverInto). Under the read lock it is reported (needsHeal) for the
+// caller to retry with the write lock.
+func (s *Store) readUnit(st *diskState, u layout.Loc, out []byte, heal bool) error {
+	if !st.lost(u) {
+		phys := s.getBuf()
+		err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys)
+		if err == nil {
+			copy(out, (*phys)[:s.unitSize])
+		}
+		s.putBuf(phys)
+		if err == nil || !heal || !needsHeal(err) {
+			return err
+		}
+		s.countHeal(err)
+		s.scoreDiskError(u.Disk)
+	}
+	return s.recoverInto(st, u, out, heal)
+}
+
+// recoverInto decodes the contents of unit u — lost, or damaged in place
+// — from the rest of its stripe into out. u and every lost unit of the
+// stripe are erasures. Without heal (the caller holds the stripe's read
+// lock) a damaged unit the decode runs into is returned (needsHeal). With
+// heal (the write lock) it is absorbed as one more erasure while the
+// code's budget of m erasures allows, and every damaged unit, u included,
+// is rewritten with its decoded contents — unless a parity the decode left
+// unused does not balance over the repair (see decode), which writes
+// nothing. Past the budget the stripe is unrecoverable — under single
+// parity, any lost or damaged sibling.
+func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, heal bool) error {
 	stripe, uj := s.lay.Locate(u)
 	lost, n, err := s.lostErasures(st, stripe, u, out)
 	if err != nil {
@@ -239,12 +270,10 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
 	list := lost[:n]
 	defer func() { s.freeErasures(list) }()
 	if !st.lost(u) {
-		// u is damaged in place (a healing read), not lost: erase it too.
-		// Its caller rewrites it, so no heal flag here.
 		if len(list) == s.code.m {
 			return fmt.Errorf("%w: %v is damaged and %d other units of its stripe are lost", ErrUnrecoverable, u, len(list))
 		}
-		list = append(list, erasure{gatherItem: s.unitItem(stripe, uj), out: out})
+		list = append(list, erasure{gatherItem: s.unitItem(stripe, uj), out: out, heal: true})
 	}
 	for {
 		damaged, err := s.decode(st, stripe, list)
@@ -255,6 +284,9 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
 			break
 		}
 		d := damaged[0]
+		if !heal {
+			return d.err
+		}
 		if len(list) >= s.code.m {
 			return fmt.Errorf("%w: %v is unreadable and its stripe already has %d erasures: %v",
 				ErrUnrecoverable, d.loc, len(list), d.err)
@@ -266,6 +298,9 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
 		buf := s.getBuf()
 		list = append(list, erasure{gatherItem: d.gatherItem, out: (*buf)[:s.unitSize], buf: buf, heal: true})
 	}
+	// Rewrite each damaged unit (heals a latent sector error, replaces
+	// rotted bytes). A failed rewrite is charged to the disk, but the
+	// read itself has succeeded.
 	for _, e := range list {
 		if !e.heal {
 			continue
@@ -286,37 +321,4 @@ func (s *Store) countHeal(cause error) {
 		return
 	}
 	s.checksumErrs.Add(1)
-}
-
-// readUnitHealing reads unit u's data into out (one logical unit) under
-// the stripe's WRITE lock, healing damage in place: a media error or
-// persistent checksum mismatch triggers reconstruction from the stripe's
-// survivors and a rewrite of the damaged unit. u must not be lost.
-func (s *Store) readUnitHealing(st *diskState, u layout.Loc, out []byte) error {
-	phys := s.getBuf()
-	err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys)
-	if err == nil {
-		copy(out, (*phys)[:s.unitSize])
-		s.putBuf(phys)
-		return nil
-	}
-	s.putBuf(phys)
-	if !needsHeal(err) {
-		return err
-	}
-	s.countHeal(err)
-	s.scoreDiskError(u.Disk)
-	if rerr := s.recoverInto(st, u, out); rerr != nil {
-		return rerr
-	}
-	// Rewrite the damaged unit with its reconstructed contents (heals a
-	// latent sector error, replaces rotted bytes). A failed rewrite is
-	// charged to the disk but the read itself has succeeded.
-	d := st.disk(u)
-	if werr := s.writeDataUnit(d, u.Disk, u.Offset, out); werr == nil {
-		s.healedUnits.Add(1)
-	} else {
-		s.scoreDiskError(u.Disk)
-	}
-	return nil
 }

@@ -66,36 +66,39 @@ func (s *Store) rangeOp(start int64, buf []byte, done *atomic.Int64, job func(st
 }
 
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe —
-// into dst, whose first byte corresponds to unit lo. Units are
-// read under the stripe's read lock; a damaged unit is repaired under the
-// write lock and the sweep resumes after it.
+// into dst, whose first byte corresponds to unit lo. Units are read under
+// the stripe's read lock; a damaged unit is re-read alone under the write
+// lock, which heals it, and the span resumes after it.
 func (s *Store) readStripeSpan(stripe, lo, hi int64, dst []byte) error {
 	us := int64(s.unitSize)
-	for u := lo; u < hi; {
-		healU := int64(-1)
-		var healLoc layout.Loc
-		var err error
+	var err error
+	for u := lo; u < hi && err == nil; u++ {
 		s.locks.rlock(stripe)
-		for ; u < hi && err == nil; u++ {
-			loc := s.mapper.Loc(u)
-			err = s.readLocked(stripe, loc, dst[(u-lo)*us:(u-lo+1)*us])
-			if needsHeal(err) {
-				healU, healLoc = u, loc
+		for ; u < hi; u++ {
+			if err = s.readUserUnit(u, dst[(u-lo)*us:(u-lo+1)*us], false); err != nil {
+				break
 			}
 		}
 		s.locks.runlock(stripe)
-		if healU >= 0 {
-			if err = s.healRead(stripe, healLoc, dst[(healU-lo)*us:(healU-lo+1)*us]); err != nil {
-				return err
-			}
-			u = healU + 1
-			continue
-		}
-		if err != nil {
-			return err
+		if needsHeal(err) {
+			s.locks.lock(stripe)
+			err = s.readUserUnit(u, dst[(u-lo)*us:(u-lo+1)*us], true)
+			s.locks.unlock(stripe)
 		}
 	}
-	return nil
+	return err
+}
+
+// readUserUnit is readUnit for logical data unit n under its stripe's
+// lock, counting a read of a lost unit as a degraded read.
+func (s *Store) readUserUnit(n int64, dst []byte, heal bool) error {
+	st := s.st.Load()
+	loc := s.mapper.Loc(n)
+	err := s.readUnit(st, loc, dst, heal)
+	if err == nil && st.lost(loc) {
+		s.degradedReads.Add(1)
+	}
+	return err
 }
 
 // writeStripeSpan commits the units [lo, hi) — all belonging to stripe —

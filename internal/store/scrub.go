@@ -55,35 +55,21 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	}
 
 	// The damaged units are the erasures, and each parity's syndrome over
-	// the valid units is exactly what the decode starts from. A parity
-	// the solve leaves unused then gets the solved data's terms, so its
-	// accumulator is its syndrome over the whole repaired stripe.
+	// the valid units is exactly what the decode starts from; a parity the
+	// solve leaves unused ends with its syndrome over the repaired stripe.
 	var ords [maxParities]int
 	for e, d := range damaged {
 		ords[e] = d.ord
 	}
 	erased := ords[:len(damaged)]
 	at := s.code.plan(erased)
-	s.code.solve(&acc, erased, at)
+	if i := s.code.solve(&acc, erased, at); i >= 0 {
+		return fixNone, fmt.Errorf("%w: stripe %d: %v is damaged and parity %c does not balance over its repair",
+			ErrUnrecoverable, stripe, damaged[0].loc, "PQ"[i])
+	}
 	var used [maxParities]bool
 	for e := range erased {
 		used[at[e]] = true
-	}
-	for i, a := range acc {
-		if a == nil || used[i] {
-			continue
-		}
-		dataLost := false
-		for e, o := range erased {
-			if o >= 0 {
-				s.code.fold(i, o, a, acc[at[e]])
-				dataLost = true
-			}
-		}
-		if dataLost && !isZero(a) {
-			return fixNone, fmt.Errorf("%w: stripe %d: %v is damaged and parity %c does not balance over its repair",
-				ErrUnrecoverable, stripe, damaged[0].loc, "PQ"[i])
-		}
 	}
 
 	fix := fixNone

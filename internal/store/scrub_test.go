@@ -137,55 +137,79 @@ func TestScrubDetectsLostParityWrite(t *testing.T) {
 	}
 }
 
-// TestPQResyncChecksUnusedParity pairs a lost parity write (the parity
-// stays stale under a valid checksum) with a rotted unit in the same P+Q
-// stripe. A rotted data unit solves through one parity; when the other
-// parity does not balance over the repair, the stripe holds one more error
-// than P+Q can locate, so the scrub must write nothing, count the stripe
-// unrecoverable, and keep the parity-doubt latch. A rotted parity leaves
-// every data unit readable, so both parities are recomputed from data.
-func TestPQResyncChecksUnusedParity(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		lost      int  // parity whose write is lost
-		rotParity bool // rot parity P instead of a sibling data unit
-		unrec     bool
-	}{
-		{"lost-Q-rotted-data", 1, false, true},
-		{"lost-P-rotted-data", 0, false, true},
-		{"lost-Q-rotted-P", 1, true, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, fds := faultStore(t, testPQLayout(t, 7, 4), 64, 512,
-				func(int) FaultConfig { return FaultConfig{} }, Config{})
-			fillAll(t, s, 1)
-			const stripe = 1
-			n := stripe * s.dataPerStripe // first data unit of the stripe
-			fds[layout.ParityLocOf(s.lay, stripe, tc.lost).Disk].LoseNextWrite()
-			buf := make([]byte, s.UnitSize())
-			fill(buf, n, 2)
-			if err := s.WriteUnit(n, buf); err != nil {
+// unusedParityCases pair a lost parity write (the parity stays stale
+// under a valid checksum) with a rotted unit in the same P+Q stripe. A
+// rotted data unit solves through one parity; when the other parity does
+// not balance over the repair, the stripe holds one more error than P+Q
+// can locate, so nothing may be written (unrec). A rotted parity leaves
+// every data unit readable, so it is recomputed from data.
+var unusedParityCases = []struct {
+	name      string
+	lost      int  // parity whose write is lost
+	rotParity bool // rot parity P instead of a sibling data unit
+	unrec     bool
+}{
+	{"lost-Q-rotted-data", 1, false, true},
+	{"lost-P-rotted-data", 0, false, true},
+	{"lost-Q-rotted-P", 1, true, false},
+}
+
+// unusedParityStore builds one of unusedParityCases on a filled (version
+// 1) C=7 G=4 P+Q store: data unit n, the first of stripe 1, is rewritten
+// at version 2 with the case's parity write lost, then unit n+1 (or P) is
+// rotted. image returns the stripe's physical bytes, position by position.
+func unusedParityStore(t *testing.T, lost int, rotParity bool) (s *Store, n int64, image func() [][]byte) {
+	t.Helper()
+	s, fds := faultStore(t, testPQLayout(t, 7, 4), 64, 512,
+		func(int) FaultConfig { return FaultConfig{} }, Config{})
+	fillAll(t, s, 1)
+	const stripe = 1
+	n = stripe * s.dataPerStripe
+	fds[layout.ParityLocOf(s.lay, stripe, lost).Disk].LoseNextWrite()
+	buf := make([]byte, s.UnitSize())
+	fill(buf, n, 2)
+	if err := s.WriteUnit(n, buf); err != nil {
+		t.Fatal(err)
+	}
+	victim := s.mapper.Loc(n + 1)
+	if rotParity {
+		victim = layout.ParityLocOf(s.lay, stripe, 0)
+	}
+	rot(t, s, victim)
+	image = func() [][]byte {
+		st := s.st.Load()
+		var out [][]byte
+		for j := 0; j < s.lay.G(); j++ {
+			u := s.lay.Unit(stripe, j)
+			phys := make([]byte, s.physSize)
+			if err := st.disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
 				t.Fatal(err)
 			}
-			victim := s.mapper.Loc(n + 1)
-			if tc.rotParity {
-				victim = layout.ParityLocOf(s.lay, stripe, 0)
-			}
-			rot(t, s, victim)
+			out = append(out, phys)
+		}
+		return out
+	}
+	return s, n, image
+}
 
-			image := func() [][]byte {
-				st := s.st.Load()
-				var out [][]byte
-				for j := 0; j < s.lay.G(); j++ {
-					u := s.lay.Unit(stripe, j)
-					phys := make([]byte, s.physSize)
-					if err := st.disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
-						t.Fatal(err)
-					}
-					out = append(out, phys)
-				}
-				return out
-			}
+// sameImage fails the test if the stripe's bytes differ from before.
+func sameImage(t *testing.T, before, after [][]byte) {
+	t.Helper()
+	for j := range after {
+		if !bytes.Equal(after[j], before[j]) {
+			t.Fatalf("position %d of the unrecoverable stripe was rewritten", j)
+		}
+	}
+}
+
+// TestPQResyncChecksUnusedParity runs unusedParityCases through the
+// scrub: an unrecoverable stripe is counted, left as found, and keeps the
+// parity-doubt latch; a rotted parity is rebuilt and the stale one
+// recomputed.
+func TestPQResyncChecksUnusedParity(t *testing.T) {
+	for _, tc := range unusedParityCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, n, image := unusedParityStore(t, tc.lost, tc.rotParity)
 			before := image()
 			s.parityDoubt.Store(true)
 			res, err := s.Scrub()
@@ -206,12 +230,57 @@ func TestPQResyncChecksUnusedParity(t *testing.T) {
 			if !s.parityDoubt.Load() {
 				t.Fatal("scrub with an unrecoverable stripe cleared the parity-doubt latch")
 			}
-			for j, b := range image() {
-				if !bytes.Equal(b, before[j]) {
-					t.Fatalf("scrub rewrote position %d of the unrecoverable stripe", j)
-				}
-			}
+			sameImage(t, before, image())
 		})
+	}
+}
+
+// TestPQHealChecksUnusedParity runs unusedParityCases through the healing
+// reads: ReadUnit of unit n+1, and the pre-reads of an RMW WriteUnit to
+// it. Healing a rotted data unit must check the parity its solve left
+// unused before rewriting anything, as the scrub does: the unrecoverable
+// cases fail ErrUnrecoverable with the stripe's bytes unchanged (a heal
+// that trusted the stale P served and wrote back a wrong unit). A rotted
+// P is healed from data, and a scrub then recomputes the stale Q.
+func TestPQHealChecksUnusedParity(t *testing.T) {
+	for _, op := range []string{"read", "write"} {
+		for _, tc := range unusedParityCases {
+			t.Run(op+"/"+tc.name, func(t *testing.T) {
+				s, n, image := unusedParityStore(t, tc.lost, tc.rotParity)
+				before := image()
+				buf := make([]byte, s.UnitSize())
+				want := uint64(1)
+				var err error
+				if op == "read" {
+					err = s.ReadUnit(n+1, buf)
+				} else {
+					want = 3
+					fill(buf, n+1, want)
+					err = s.WriteUnit(n+1, buf)
+				}
+				if tc.unrec {
+					if !errors.Is(err, ErrUnrecoverable) {
+						t.Fatalf("%s of unit %d = %v, want ErrUnrecoverable", op, n+1, err)
+					}
+					if h := s.Stats().HealedUnits; h != 0 {
+						t.Fatalf("HealedUnits = %d, want 0", h)
+					}
+					sameImage(t, before, image())
+					return
+				}
+				if err != nil {
+					t.Fatalf("%s of unit %d: %v", op, n+1, err)
+				}
+				if _, err := s.Scrub(); err != nil {
+					t.Fatalf("Scrub: %v", err)
+				}
+				if err := s.CheckParity(); err != nil {
+					t.Fatalf("CheckParity after scrub: %v", err)
+				}
+				verifyUnit(t, s, n, 2)
+				verifyUnit(t, s, n+1, want)
+			})
+		}
 	}
 }
 

@@ -513,15 +513,6 @@ func (s *Store) Mode() Mode {
 	return Degraded
 }
 
-// FailedDisk returns the oldest failed disk number, or -1 when healthy.
-func (s *Store) FailedDisk() int {
-	st := s.st.Load()
-	if len(st.fails) == 0 {
-		return -1
-	}
-	return st.fails[0].disk
-}
-
 // FailedDisks returns every failed disk number, oldest failure first.
 func (s *Store) FailedDisks() []int {
 	st := s.st.Load()
@@ -584,83 +575,10 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 	if err := s.checkUnit(n, dst); err != nil {
 		return err
 	}
-	loc := s.mapper.Loc(n)
-	stripe, _ := s.lay.Locate(loc)
-	s.locks.rlock(stripe)
-	err := s.readLocked(stripe, loc, dst)
-	s.locks.runlock(stripe)
-	if needsHeal(err) {
-		// The unit is damaged. Reads share the stripe lock, so healing
-		// (which rewrites the unit) upgrades to the write lock.
-		err = s.healRead(stripe, loc, dst)
-	}
-	if err == nil {
-		s.reads.Add(1)
-	}
-	return err
-}
-
-// readLocked reads one unit with (at least) the stripe's read lock held.
-// Damage is reported (needsHeal), not repaired — repairing requires the
-// write lock.
-func (s *Store) readLocked(stripe int64, loc layout.Loc, dst []byte) error {
-	st := s.st.Load()
-	if st.lost(loc) {
-		if err := s.reconstructLocked(st, loc, dst); err != nil {
-			return err
-		}
-		s.degradedReads.Add(1)
-		return nil
-	}
-	phys := s.getBuf()
-	defer s.putBuf(phys)
-	if err := s.readPhys(st.disk(loc), loc.Disk, loc.Offset, *phys); err != nil {
+	if err := s.readStripeSpan(n/s.dataPerStripe, n, n+1, dst); err != nil {
 		return err
 	}
-	copy(dst, (*phys)[:s.unitSize])
-	return nil
-}
-
-// healRead re-serves a read that found damage, under the stripe's write
-// lock so it may repair: re-read (transient corruption clears), else
-// reconstruct from survivors and rewrite the damaged unit.
-func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
-	s.locks.lock(stripe)
-	defer s.locks.unlock(stripe)
-	st := s.st.Load()
-	if st.lost(loc) {
-		// Lost, and a survivor was damaged: one exclusive retry under the
-		// write lock, where damage the code can still absorb (a transient
-		// that clears, or — under P+Q — a second erasure) is repaired.
-		if err := s.recoverInto(st, loc, dst); err != nil {
-			return err
-		}
-		s.degradedReads.Add(1)
-		return nil
-	}
-	return s.readUnitHealing(st, loc, dst)
-}
-
-// reconstructLocked decodes loc's contents into dst from its stripe's
-// surviving units — under single parity the XOR of the G−1 survivors —
-// fanning the reads across idle I/O workers. Caller holds (at least) the
-// stripe's read lock; damaged survivors are reported (needsHeal), not
-// repaired — repairing requires the write lock, which healRead takes for
-// the exclusive retry.
-func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) error {
-	stripe, _ := s.lay.Locate(loc)
-	lost, n, err := s.lostErasures(st, stripe, loc, dst)
-	if err != nil {
-		return err
-	}
-	defer s.freeErasures(lost[:n])
-	damaged, err := s.decode(st, stripe, lost[:n])
-	if err != nil {
-		return err
-	}
-	if len(damaged) > 0 {
-		return damaged[0].err
-	}
+	s.reads.Add(1)
 	return nil
 }
 
@@ -671,15 +589,11 @@ func (s *Store) WriteUnit(n int64, src []byte) error {
 	if err := s.checkUnit(n, src); err != nil {
 		return err
 	}
-	loc := s.mapper.Loc(n)
-	stripe, _ := s.lay.Locate(loc)
-	s.locks.lock(stripe)
-	err := s.writeStripeLocked(stripe, []layout.Loc{loc}, [][]byte{src})
-	s.locks.unlock(stripe)
-	if err == nil {
-		s.writes.Add(1)
+	if err := s.writeStripeSpan(n/s.dataPerStripe, n, n+1, src); err != nil {
+		return err
 	}
-	return err
+	s.writes.Add(1)
+	return nil
 }
 
 // writeStripeLocked commits new contents for one or more data units of a
@@ -721,7 +635,7 @@ func (s *Store) writeStripeLocked(stripe int64, locs []layout.Loc, datas [][]byt
 //     data, and with every parity lost the writes are plain data writes.
 //
 // A single-unit update (WriteUnit) runs its pre-reads and commits serially
-// with no fan-out machinery, preserving the zero-extra-alloc hot path;
+// with no fan-out machinery, so it allocates nothing (TestUnitOpAllocs);
 // multi-unit updates (range writes) fan their independent pre-reads and
 // commit writes across idle I/O workers.
 func (s *Store) commitStripeLocked(stripe int64, locs []layout.Loc, datas [][]byte) error {
@@ -763,12 +677,12 @@ func (s *Store) commitStripeLocked(stripe int64, locs []layout.Loc, datas [][]by
 		// already held.
 		for i := 0; i < c.m; i++ {
 			if acc[i] != nil {
-				if err := s.readUnitHealing(st, plocs[i], acc[i]); err != nil {
+				if err := s.readUnit(st, plocs[i], acc[i], true); err != nil {
 					return err
 				}
 			}
 		}
-		if err := s.readUnitHealing(st, locs[0], odata); err != nil {
+		if err := s.readUnit(st, locs[0], odata, true); err != nil {
 			return err
 		}
 		xorInto(odata, datas[0]) // odata is now the delta
@@ -802,22 +716,17 @@ func (s *Store) commitStripeLocked(stripe int64, locs []layout.Loc, datas [][]by
 					w = i
 				}
 			}
-			var err error
-			switch {
-			case w >= 0:
+			if w >= 0 {
 				c.add(&acc, d, datas[w])
 				continue
-			case st.lost(u):
-				// Unwritten and lost: decode its unchanged contents from
-				// the old parities and the other survivors.
-				err = s.recoverInto(st, u, odata)
-			case len(locs) > 1:
+			}
+			if len(locs) > 1 && !st.lost(u) {
 				rest = append(rest, gatherItem{loc: u, ord: d})
 				continue
-			default:
-				err = s.readUnitHealing(st, u, odata)
 			}
-			if err != nil {
+			// An unwritten unit's unchanged contents: read, or — lost —
+			// decoded from the old parities and the other survivors.
+			if err := s.readUnit(st, u, odata, true); err != nil {
 				return err
 			}
 			c.add(&acc, d, odata)
@@ -924,7 +833,7 @@ func (s *Store) gatherHealing(st *diskState, items []gatherItem, acc [maxParitie
 	defer s.putBuf(obuf)
 	odata := (*obuf)[:s.unitSize]
 	for _, d := range damaged {
-		if err := s.readUnitHealing(st, d.loc, odata); err != nil {
+		if err := s.readUnit(st, d.loc, odata, true); err != nil {
 			return err
 		}
 		s.code.add(&acc, d.ord, odata)
@@ -1037,7 +946,7 @@ func (s *Store) Rebuild(repl Disk) error {
 		buf := s.getBuf()
 		defer s.putBuf(buf)
 		data := (*buf)[:s.unitSize]
-		err := s.recoverInto(stc, loc, data)
+		err := s.readUnit(stc, loc, data, true)
 		if err == nil {
 			err = s.writeDataUnit(repl, target, off, data)
 		}
