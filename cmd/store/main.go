@@ -386,17 +386,27 @@ func run(cfg config, out io.Writer) error {
 			phaseName = fmt.Sprintf("rebuilding-%d", i+1)
 			rowName = fmt.Sprintf("rebuild d%d", victim)
 		}
-		rebuildDone := make(chan error, 1)
-		rebuildStart := time.Now()
-		go func() { rebuildDone <- s.Rebuild(repl) }()
+		// The rebuild times itself: it usually finishes long before the
+		// load phase it races, which would otherwise set its duration.
+		type rebuildResult struct {
+			secs float64
+			err  error
+		}
+		rebuildDone := make(chan rebuildResult, 1)
+		go func() {
+			start := time.Now()
+			err := s.Rebuild(repl)
+			rebuildDone <- rebuildResult{time.Since(start).Seconds(), err}
+		}()
 		if err := loadPhase(phaseName); err != nil {
 			return err
 		}
-		if err := <-rebuildDone; err != nil {
-			return err
+		res := <-rebuildDone
+		if res.err != nil {
+			return res.err
 		}
 		done, rTotal := s.RebuildProgress()
-		rebuildSecs := time.Since(rebuildStart).Seconds()
+		rebuildSecs := res.secs
 		phases = append(phases, phaseStat{
 			name: rowName, ops: done, secs: rebuildSecs,
 			mbps:    float64(done) * float64(cfg.unitSize) / 1e6 / rebuildSecs,

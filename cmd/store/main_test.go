@@ -1,6 +1,8 @@
 package main
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +30,28 @@ func TestRunMemScenario(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestRebuildTimedOnItsOwn: an unthrottled rebuild of a small array
+// finishes in milliseconds, so the reported rebuild time must be well
+// under the 0.5 s load phase it races, not the phase's length.
+func TestRebuildTimedOnItsOwn(t *testing.T) {
+	var out strings.Builder
+	cfg := config{
+		c: 7, g: 3, units: 64, unitSize: 512,
+		backend: "mem", clients: 2, phaseSecs: 0.5,
+		readFrac: 0.5, failDisk: 2,
+	}
+	if err := run(cfg, &out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	m := regexp.MustCompile(`rebuild complete: \d+/\d+ units in ([0-9.]+)s`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no rebuild line in output:\n%s", out.String())
+	}
+	if secs, _ := strconv.ParseFloat(m[1], 64); secs >= 0.25 {
+		t.Fatalf("rebuild reported %.2fs, want well under the 0.5 s load phase:\n%s", secs, out.String())
 	}
 }
 

@@ -2,8 +2,11 @@
 // RAID-6 Q parity is computed in. The field is built on the polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d) with generator 2 — the conventional
 // RAID-6 field (Anvin, "The mathematics of RAID-6") — so every nonzero
-// element is a power of 2 and multiplication reduces to exp/log table
-// lookups.
+// element is a power of 2 and the scalar ops (Mul, Div, Inv) reduce to
+// exp/log table lookups. The word and slice kernels (MulWord, MulSlice,
+// MulAddSlice) use no tables: they multiply 8 bytes per uint64 at once by
+// Anvin's int64 method, doubling every byte of a word in a few shifts and
+// masks and XORing the doublings selected by the coefficient's bits.
 //
 // For a stripe with data units d_0..d_{k-1}, the two parity units are
 //
@@ -15,6 +18,11 @@
 // storage engine's Q path is built from, and the coefficient solver for
 // the two-data-erasure case.
 package gf256
+
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // Poly is the field's reduction polynomial (x^8+x^4+x^3+x^2+1) and
 // Generator its primitive element.
@@ -93,69 +101,92 @@ func Inv(x byte) byte {
 	return exp[255-int(log[x])]
 }
 
-// MulSlice multiplies every byte of src by c and stores the products in
-// dst (dst and src may alias). Lengths must match. c == 0 zeroes dst,
-// c == 1 copies.
-func MulSlice(dst, src []byte, c byte) {
-	_ = dst[len(src)-1]
-	switch c {
-	case 0:
-		for i := range src {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		lc := int(log[c])
-		for i, b := range src {
-			if b == 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = exp[lc+int(log[b])]
-			}
-		}
-	}
-}
-
-// MulAddSlice XORs c·src into dst byte-wise — the fused kernel the Q
-// computation Q = Σ g^i·d_i is folded with. Lengths must match.
-func MulAddSlice(dst, src []byte, c byte) {
-	_ = dst[len(src)-1]
-	switch c {
-	case 0:
-		// c·src is zero: nothing to fold.
-	case 1:
-		for i, b := range src {
-			dst[i] ^= b
-		}
-	default:
-		lc := int(log[c])
-		for i, b := range src {
-			if b != 0 {
-				dst[i] ^= exp[lc+int(log[b])]
-			}
-		}
-	}
+// dbl multiplies each of the 8 bytes of x by the generator 2: every byte
+// shifts left one bit, and a byte whose top bit carried out is reduced by
+// the low byte of Poly (0x1d).
+func dbl(x uint64) uint64 {
+	const low7, low1 = 0x7f7f7f7f7f7f7f7f, 0x0101010101010101
+	return (x&low7)<<1 ^ ((x>>7)&low1)*(Poly&0xff)
 }
 
 // MulWord multiplies each of the 8 bytes of a 64-bit word by c — the
-// word-sized kernel for simulators that model one uint64 per unit.
+// word-sized kernel for simulators that model one uint64 per unit. c·w is
+// the XOR of 2^j·w over the set bits j of c, so the cost grows with the
+// bit length of c.
 func MulWord(c byte, w uint64) uint64 {
-	if c == 0 || w == 0 {
-		return 0
-	}
-	if c == 1 {
-		return w
-	}
-	lc := int(log[c])
 	var out uint64
-	for i := 0; i < 64; i += 8 {
-		b := byte(w >> i)
-		if b != 0 {
-			out |= uint64(exp[lc+int(log[b])]) << i
+	for {
+		if c&1 != 0 {
+			out ^= w
 		}
+		if c >>= 1; c == 0 {
+			return out
+		}
+		w = dbl(w)
 	}
-	return out
+}
+
+// MulSlice multiplies every byte of src by c and stores the products in
+// dst (dst and src may alias exactly). Lengths must match.
+func MulSlice(dst, src []byte, c byte) {
+	mulSlice(dst, src, c, false)
+}
+
+// MulAddSlice XORs c·src into dst byte-wise — the fused kernel the Q
+// computation Q = Σ g^i·d_i is folded with. Lengths must match; c == 1 is
+// a plain XOR.
+func MulAddSlice(dst, src []byte, c byte) {
+	if c == 1 {
+		subtle.XORBytes(dst, dst, src)
+		return
+	}
+	mulSlice(dst, src, c, true)
+}
+
+// mulSlice sets dst to c·src, or XORs c·src into dst when add is set. It
+// runs MulWord's bit loop on 4 words (32 bytes) per step, so the loop's
+// branches amortize over four independent doubling chains; the tail past
+// the last whole step goes byte by byte through Mul.
+func mulSlice(dst, src []byte, c byte, add bool) {
+	_ = dst[len(src)-1]
+	n := len(src) &^ 31
+	for i := 0; i < n; i += 32 {
+		s, d := src[i:i+32:i+32], dst[i:i+32:i+32]
+		x0 := binary.LittleEndian.Uint64(s[0:])
+		x1 := binary.LittleEndian.Uint64(s[8:])
+		x2 := binary.LittleEndian.Uint64(s[16:])
+		x3 := binary.LittleEndian.Uint64(s[24:])
+		var y0, y1, y2, y3 uint64
+		if add {
+			y0 = binary.LittleEndian.Uint64(d[0:])
+			y1 = binary.LittleEndian.Uint64(d[8:])
+			y2 = binary.LittleEndian.Uint64(d[16:])
+			y3 = binary.LittleEndian.Uint64(d[24:])
+		}
+		for b := c; ; {
+			if b&1 != 0 {
+				y0 ^= x0
+				y1 ^= x1
+				y2 ^= x2
+				y3 ^= x3
+			}
+			if b >>= 1; b == 0 {
+				break
+			}
+			x0, x1, x2, x3 = dbl(x0), dbl(x1), dbl(x2), dbl(x3)
+		}
+		binary.LittleEndian.PutUint64(d[0:], y0)
+		binary.LittleEndian.PutUint64(d[8:], y1)
+		binary.LittleEndian.PutUint64(d[16:], y2)
+		binary.LittleEndian.PutUint64(d[24:], y3)
+	}
+	for i := n; i < len(src); i++ {
+		p := Mul(c, src[i])
+		if add {
+			p ^= dst[i]
+		}
+		dst[i] = p
+	}
 }
 
 // TwoErasureCoeffs returns the decode coefficients for two erased data

@@ -1,6 +1,7 @@
 package gf256
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -124,51 +125,79 @@ func TestPanics(t *testing.T) {
 	}
 }
 
+// kernelLens are the slice lengths the kernels are pinned at: below one
+// 32-byte step (8, 24), exactly one step (32), one step plus a tail (40),
+// a unit (4096), and a unit plus a tail (4104).
+var kernelLens = []int{8, 24, 32, 40, 4096, 4104}
+
+// TestMulSlice: for every coefficient and every kernel length,
+// MulSlice agrees with byte-wise Mul, into a separate dst and in place
+// (dst == src, as the store's decode calls it).
 func TestMulSlice(t *testing.T) {
-	src := []byte{0, 1, 2, 0x80, 0xff, 0x53}
-	for _, c := range []byte{0, 1, 2, 0x1d, 0xca} {
-		dst := make([]byte, len(src))
-		MulSlice(dst, src, c)
-		for i := range src {
-			if want := Mul(src[i], c); dst[i] != want {
-				t.Fatalf("MulSlice c=%#x at %d: got %#x want %#x", c, i, dst[i], want)
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range kernelLens {
+		src := make([]byte, n)
+		rng.Read(src)
+		dst, inPlace := make([]byte, n), make([]byte, n)
+		for c := 0; c < 256; c++ {
+			rng.Read(dst)
+			MulSlice(dst, src, byte(c))
+			copy(inPlace, src)
+			MulSlice(inPlace, inPlace, byte(c))
+			for i, b := range src {
+				want := Mul(byte(c), b)
+				if dst[i] != want || inPlace[i] != want {
+					t.Fatalf("MulSlice n=%d c=%#x at %d: got %#x (in place %#x) want %#x",
+						n, c, i, dst[i], inPlace[i], want)
+				}
 			}
 		}
 	}
 }
 
+// TestMulAddSlice: for every coefficient and every kernel
+// length, MulAddSlice XORs exactly byte-wise Mul's products into dst.
 func TestMulAddSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	src := make([]byte, 64)
-	for _, c := range []byte{0, 1, 2, 0x1d, 0xca} {
-		dst := make([]byte, len(src))
-		want := make([]byte, len(src))
+	for _, n := range kernelLens {
+		src, dst, old := make([]byte, n), make([]byte, n), make([]byte, n)
 		rng.Read(src)
-		rng.Read(dst)
-		copy(want, dst)
-		for i := range src {
-			want[i] ^= Mul(src[i], c)
-		}
-		MulAddSlice(dst, src, c)
-		for i := range src {
-			if dst[i] != want[i] {
-				t.Fatalf("MulAddSlice c=%#x at %d: got %#x want %#x", c, i, dst[i], want[i])
+		for c := 0; c < 256; c++ {
+			rng.Read(old)
+			copy(dst, old)
+			MulAddSlice(dst, src, byte(c))
+			for i, b := range src {
+				if want := old[i] ^ Mul(byte(c), b); dst[i] != want {
+					t.Fatalf("MulAddSlice n=%d c=%#x at %d: got %#x want %#x", n, c, i, dst[i], want)
+				}
 			}
 		}
 	}
 }
 
+// TestMulWord: for every coefficient, MulWord agrees with
+// byte-wise Mul on random words and on the words holding every byte value.
 func TestMulWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		c := byte(rng.Intn(256))
-		w := rng.Uint64()
-		got := MulWord(c, w)
-		for shift := 0; shift < 64; shift += 8 {
-			want := Mul(c, byte(w>>shift))
-			if byte(got>>shift) != want {
-				t.Fatalf("MulWord(%#x, %#x) byte %d: got %#x want %#x",
-					c, w, shift/8, byte(got>>shift), want)
+	words := make([]uint64, 0, 64+32)
+	for i := 0; i < 64; i++ {
+		words = append(words, rng.Uint64())
+	}
+	for b := 0; b < 256; b += 8 {
+		var w uint64
+		for j := 0; j < 8; j++ {
+			w |= uint64(b+j) << (8 * j)
+		}
+		words = append(words, w)
+	}
+	for c := 0; c < 256; c++ {
+		for _, w := range words {
+			got := MulWord(byte(c), w)
+			for shift := 0; shift < 64; shift += 8 {
+				if want := Mul(byte(c), byte(w>>shift)); byte(got>>shift) != want {
+					t.Fatalf("MulWord(%#x, %#x) byte %d: got %#x want %#x",
+						c, w, shift/8, byte(got>>shift), want)
+				}
 			}
 		}
 	}
@@ -208,13 +237,20 @@ func TestTwoErasureDecode(t *testing.T) {
 	}
 }
 
+// BenchmarkMulAddSlice folds a 4 KiB unit by one coefficient of each
+// class the store uses: 1 (every P term), 2 and 4 (the Q coefficients of
+// data ordinals 1 and 2), and 0x8e (a decode coefficient with the full
+// bit length, the kernel's slowest case).
 func BenchmarkMulAddSlice(b *testing.B) {
 	src := make([]byte, 4096)
 	dst := make([]byte, 4096)
 	rand.New(rand.NewSource(5)).Read(src)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddSlice(dst, src, byte(i%255+1))
+	for _, c := range []byte{1, 2, 4, 0x8e} {
+		b.Run(fmt.Sprintf("c=%#x", c), func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				MulAddSlice(dst, src, c)
+			}
+		})
 	}
 }

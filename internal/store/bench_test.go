@@ -66,6 +66,17 @@ func runClients(b *testing.B, s *Store, readFrac float64) {
 	b.StopTimer()
 }
 
+// BenchmarkXorInto XORs one 4 KiB unit into another: the kernel of every
+// P term, delta and single-parity decode.
+func BenchmarkXorInto(b *testing.B) {
+	src, dst := make([]byte, 4096), make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(src)
+	b.SetBytes(int64(len(src)))
+	for i := 0; i < b.N; i++ {
+		xorInto(dst, src)
+	}
+}
+
 // BenchmarkStoreFaultFreeOps measures the healthy array under the
 // paper's 50/50 read/write mix from GOMAXPROCS concurrent clients.
 func BenchmarkStoreFaultFreeOps(b *testing.B) {

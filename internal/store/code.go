@@ -25,13 +25,9 @@ type code struct{ m int }
 
 // fold XORs parity i's term for data ordinal d, g^(i·d)·src, into dst. A
 // unit coefficient — every P term, and Q's term for ordinal 0 — is a plain
-// XOR and never touches the field tables.
+// XOR inside gf256.MulAddSlice.
 func (code) fold(i, d int, dst, src []byte) {
-	if coef := gf256.Exp(i * d); coef != 1 {
-		gf256.MulAddSlice(dst, src, coef)
-		return
-	}
-	xorInto(dst, src)
+	gf256.MulAddSlice(dst, src, gf256.Exp(i*d))
 }
 
 // add folds one unit's contents into the active accumulators: a data unit

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"runtime"
@@ -1117,11 +1117,7 @@ func isZero(b []byte) bool {
 	return true
 }
 
-// xorInto XORs src into dst in place; lengths are equal unit sizes,
-// which New constrains to multiples of 8.
+// xorInto XORs src into dst in place; lengths are equal unit sizes.
 func xorInto(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
+	subtle.XORBytes(dst, dst, src)
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -372,6 +373,28 @@ func TestModeString(t *testing.T) {
 	for m, want := range map[Mode]string{Healthy: "healthy", Degraded: "degraded", Rebuilding: "rebuilding", Mode(9): "Mode(9)"} {
 		if got := m.String(); got != want {
 			t.Fatalf("Mode %d String() = %q, want %q", int(m), got, want)
+		}
+	}
+}
+
+// TestXorInto: xorInto agrees with a byte loop at unit and odd lengths,
+// and XORing a buffer into itself zeroes it.
+func TestXorInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 8, 31, 512, 4096, 4104} {
+		dst, src, want := make([]byte, n), make([]byte, n), make([]byte, n)
+		rng.Read(dst)
+		rng.Read(src)
+		for i := range want {
+			want[i] = dst[i] ^ src[i]
+		}
+		xorInto(dst, src)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("n=%d: xorInto differs from the byte loop", n)
+		}
+		xorInto(dst, dst)
+		if !isZero(dst) {
+			t.Fatalf("n=%d: xorInto(b, b) left nonzero bytes", n)
 		}
 	}
 }
